@@ -1,23 +1,23 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
-Exit codes: 0 success, 1 scenario file problem, 2 unknown protocol,
-3 degenerate region, 4 safety verdict failed.
+Exit codes: 0 success, 1 scenario file problem, 2 unknown protocol or bad
+--grid, 3 degenerate region, 4 safety verdict failed.
 """
 
 import argparse
 import os
 import sys
-import tempfile
+import uuid
 from pathlib import Path
 
 from .region import DegenerateRegionError, dominates, max_energy, max_rate, sweep
-from .protocols import ProtocolId
+from .protocols import _TABLE, ProtocolId
 from .safety import evaluate_safety
 from .scenario import ScenarioError, parse_scenario
 
 _PROTOCOLS = {p.value: p for p in ProtocolId}
-_BASELINES = (ProtocolId.RF_ONLY, ProtocolId.VL_ONLY, ProtocolId.NIRL_ONLY)
-_COMBINED = (ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D)
+# A baseline is a protocol that uses a single band.
+_BASELINES = tuple(p for p in ProtocolId if sum(_TABLE[p].bands_on()) == 1)
 
 CSV_HEADER = "protocol,alpha_nirl,tau_nirl,alpha_vl,tau_vl,rho_rf,rate_bps,harvested_w"
 
@@ -40,9 +40,12 @@ def _csv_text(protocol, points):
 def _write_atomic(path, text):
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+    # open() creates the file with mode 0o666 less the umask, as a direct
+    # write would; mkstemp would force 0o600.
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -68,7 +71,7 @@ def cmd_region(scenario, protocol, grid, out_path):
 
 def cmd_compare(scenario, grid):
     regions = {}
-    for protocol in _BASELINES + _COMBINED:
+    for protocol in ProtocolId:
         regions[protocol] = sweep(scenario, protocol, grid)
     header = f"{'protocol':<10}{'points':>8}{'max_rate_bps':>16}{'max_energy_w':>16}"
     header += "".join(f"{'dom_' + b.value:>10}" for b in _BASELINES)
@@ -76,11 +79,11 @@ def cmd_compare(scenario, grid):
     for protocol, region in regions.items():
         row = f"{protocol.value:<10}{len(region.points):>8}"
         row += f"{max_rate(region):>16.6e}{max_energy(region):>16.6e}"
-        if protocol in _COMBINED:
+        if protocol in _BASELINES:
+            row += "".join(f"{'-':>10}" for _ in _BASELINES)
+        else:
             for baseline in _BASELINES:
                 row += f"{'yes' if dominates(region, regions[baseline]) else 'no':>10}"
-        else:
-            row += "".join(f"{'-':>10}" for _ in _BASELINES)
         print(row)
     return 0
 

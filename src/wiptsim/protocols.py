@@ -3,16 +3,8 @@
 Each protocol maps a control tuple to one per-device operating point
 (aggregate rate, aggregate harvested power).  The bands run in parallel
 receive chains, so rates and harvests add across RF, VL and NIRL.
-
-Free controls per protocol (everything else is pinned):
-
-    rf    - rho_rf                          RF power splitting only
-    vl    - alpha_vl, tau_vl                VL bias + time switching
-    nirl  - alpha_nirl, tau_nirl            NIRL bias + time switching
-    a     - alpha_nirl, rho_rf              NIRL power splitting, VL all-DC
-    b     - tau_nirl, rho_rf                NIRL time switching at bias 0.5
-    c     - alpha_vl, tau_vl, rho_rf        NIRL all-DC, VL carries the data
-    d     - alpha_nirl, tau_nirl, rho_rf    dimmed VL, NIRL splits both ways
+``_TABLE`` defines every protocol in one row: its free control axes, its
+pinned controls, and what drives each band (README lists the same table).
 
 Every lightwave band follows the same frame structure: an ID slot of
 duration tau at DC bias alpha (AC swing at its admissible peak) and an
@@ -27,6 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -81,56 +74,77 @@ class OperatingPoint:
     protocol: ProtocolId
 
 
-_CONTROL_NAMES = ("alpha_nirl", "tau_nirl", "alpha_vl", "tau_vl", "rho_rf")
+_CONTROL_NAMES = tuple(f.name for f in fields(ProtocolControls))
+_SWEPT = None  # marks a control the protocol leaves free in a table row
 
-_FREE = {
-    ProtocolId.RF_ONLY: ("rho_rf",),
-    ProtocolId.VL_ONLY: ("alpha_vl", "tau_vl"),
-    ProtocolId.NIRL_ONLY: ("alpha_nirl", "tau_nirl"),
-    ProtocolId.A: ("alpha_nirl", "rho_rf"),
-    ProtocolId.B: ("tau_nirl", "rho_rf"),
-    ProtocolId.C: ("alpha_vl", "tau_vl", "rho_rf"),
-    ProtocolId.D: ("alpha_nirl", "tau_nirl", "rho_rf"),
+
+class _Protocol:
+    """One protocol: its control grid and what drives each of the three bands.
+
+    ``controls`` lists the five controls in field order, each at its pinned
+    value or _SWEPT.  ``nirl`` switches the NIRL band on at the per-device
+    bulb share.  ``vl`` and ``rf`` map a scenario to the band's optical
+    budget and total transmit power; None switches the band off.
+    ``lux_gated`` rejects VL drives outside the illuminance range.
+    """
+
+    def __init__(self, controls, nirl, vl, rf, lux_gated=False):
+        named = tuple(zip(_CONTROL_NAMES, controls))
+        self.free = tuple(name for name, value in named if value is _SWEPT)
+        self.pins = {name: value for name, value in named if value is not _SWEPT}
+        self.nirl = nirl
+        self.vl = vl
+        self.rf = rf
+        self.lux_gated = lux_gated
+
+    def bands_on(self):
+        """On/off flags of the (NIRL, VL, RF) bands."""
+        return (self.nirl, self.vl is not None, self.rf is not None)
+
+
+def _dimmed_vl_budget(scenario):
+    # dim drive: DC = AC peak = vl_dim_fraction * bulb power
+    return 2.0 * scenario.vl_dim_fraction * scenario.vl_bulb_power
+
+
+_VL_FULL = attrgetter("vl_bulb_power")
+_RF_FULL = attrgetter("rf_total_tx_power")
+_RF_WPT = attrgetter("rf_wpt_tx_power")
+
+# Columns: controls (alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf), NIRL
+# on, VL drive, RF drive.  Pure power splitting is the tau = 1 frame; an
+# all-DC band is (alpha, tau) = (1, 0); inactive bands are pinned to 0 and
+# never evaluated.
+_TABLE = {
+    ProtocolId.RF_ONLY: _Protocol((0.0, 0.0, 0.0, 0.0, _SWEPT), False, None, _RF_FULL),
+    ProtocolId.VL_ONLY: _Protocol((0.0, 0.0, _SWEPT, _SWEPT, 0.0), False, _VL_FULL, None),
+    ProtocolId.NIRL_ONLY: _Protocol((_SWEPT, _SWEPT, 0.0, 0.0, 0.0), True, None, None),
+    ProtocolId.A: _Protocol((_SWEPT, 1.0, 1.0, 0.0, _SWEPT), True, _VL_FULL, _RF_WPT),
+    ProtocolId.B: _Protocol((0.5, _SWEPT, 1.0, 0.0, _SWEPT), True, _VL_FULL, _RF_WPT),
+    ProtocolId.C: _Protocol((1.0, 0.0, _SWEPT, _SWEPT, _SWEPT), True, _VL_FULL, _RF_WPT,
+                            lux_gated=True),
+    ProtocolId.D: _Protocol((_SWEPT, _SWEPT, 0.5, 1.0, _SWEPT), True, _dimmed_vl_budget, _RF_WPT),
 }
-
-# Pure power splitting is the tau = 1 frame; an all-DC band is (alpha, tau)
-# = (1, 0); inactive bands are pinned to 0 and never evaluated.
-_PINS = {
-    ProtocolId.RF_ONLY: {
-        "alpha_nirl": 0.0, "tau_nirl": 0.0, "alpha_vl": 0.0, "tau_vl": 0.0,
-    },
-    ProtocolId.VL_ONLY: {"alpha_nirl": 0.0, "tau_nirl": 0.0, "rho_rf": 0.0},
-    ProtocolId.NIRL_ONLY: {"alpha_vl": 0.0, "tau_vl": 0.0, "rho_rf": 0.0},
-    ProtocolId.A: {"tau_nirl": 1.0, "alpha_vl": 1.0, "tau_vl": 0.0},
-    ProtocolId.B: {"alpha_nirl": 0.5, "alpha_vl": 1.0, "tau_vl": 0.0},
-    ProtocolId.C: {"alpha_nirl": 1.0, "tau_nirl": 0.0},
-    ProtocolId.D: {"alpha_vl": 0.5, "tau_vl": 1.0},
-}
-
-_NIRL_ACTIVE = {ProtocolId.NIRL_ONLY, ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D}
-_VL_ACTIVE = {ProtocolId.VL_ONLY, ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D}
-_RF_ACTIVE = {ProtocolId.RF_ONLY, ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D}
 
 
 def free_controls(protocol):
     """Names of the control axes the protocol leaves free, in field order."""
-    return _FREE[protocol]
+    return _TABLE[protocol].free
 
 
 def controls_for(protocol, **free_values):
     """Build a control tuple from the protocol's pins plus the free values."""
-    values = dict(_PINS[protocol])
+    row = _TABLE[protocol]
+    values = dict.fromkeys(row.free, 0.0) | row.pins
     for name, value in free_values.items():
-        if name not in _FREE[protocol]:
+        if name not in row.free:
             raise PinnedControlError(f"{name} is pinned for protocol {protocol.value}")
         values[name] = value
-    for name in _FREE[protocol]:
-        values.setdefault(name, 0.0)
     return ProtocolControls(**values)
 
 
-def _check_pins(protocol, controls):
-    for name, value in _PINS[protocol].items():
+def _check_pins(protocol, pins, controls):
+    for name, value in pins.items():
         if getattr(controls, name) != value:
             raise PinnedControlError(
                 f"{name} is pinned to {value} for protocol {protocol.value}, "
@@ -162,20 +176,23 @@ def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, id_time_fract
     return rate, harvested
 
 
+def _vl_illuminance(scenario, fraction, geometry):
+    """Illuminance (lx) at the receiver plane with the VL bulb at a drive fraction."""
+    return illuminance_at(fraction * scenario.vl_bulb_power, scenario.luminous_efficacy, geometry)
+
+
 def _check_vl_illuminance(scenario, controls):
     # The eye averages over the frame, so the perceived level follows the
     # frame-average DC drive (the AC part has zero mean).
     avg_fraction = controls.tau_vl * controls.alpha_vl + (1.0 - controls.tau_vl)
     geometry = scenario.vl_geometry()
-    level = illuminance_at(
-        avg_fraction * scenario.vl_bulb_power, scenario.luminous_efficacy, geometry
-    )
+    level = _vl_illuminance(scenario, avg_fraction, geometry)
     limits = scenario.safety
     if level > limits.illuminance_max:
         raise InfeasibleControlsError(
             f"VL drive yields {level:.1f} lx, above {limits.illuminance_max} lx"
         )
-    full = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, geometry)
+    full = _vl_illuminance(scenario, 1.0, geometry)
     # The floor only binds when the bulb can reach it at all; otherwise the
     # shortfall is a property of the room, not of the control setting.
     if level < limits.illuminance_min <= full:
@@ -190,12 +207,15 @@ def evaluate(scenario, protocol, controls):
     Raises PinnedControlError when a pinned control deviates and
     InfeasibleControlsError for protocol c illuminance violations.
     """
-    _check_pins(protocol, controls)
+    row = _TABLE[protocol]
+    _check_pins(protocol, row.pins, controls)
+    if row.lux_gated:
+        _check_vl_illuminance(scenario, controls)
     h_vl, h_nirl = _link_gains(scenario)
     rate = 0.0
     harvested = 0.0
 
-    if protocol in _NIRL_ACTIVE:
+    if row.nirl:
         r, e = _lightwave_branch(
             scenario, scenario.nirl_power_per_device(), h_nirl,
             controls.alpha_nirl, controls.tau_nirl,
@@ -203,24 +223,15 @@ def evaluate(scenario, protocol, controls):
         rate += r
         harvested += e
 
-    if protocol in _VL_ACTIVE:
-        budget = scenario.vl_bulb_power
-        if protocol is ProtocolId.D:
-            # dim drive: DC = AC peak = vl_dim_fraction * bulb power
-            budget = 2.0 * scenario.vl_dim_fraction * budget
-        elif protocol is ProtocolId.C:
-            _check_vl_illuminance(scenario, controls)
-        r, e = _lightwave_branch(scenario, budget, h_vl, controls.alpha_vl, controls.tau_vl)
+    if row.vl is not None:
+        r, e = _lightwave_branch(
+            scenario, row.vl(scenario), h_vl, controls.alpha_vl, controls.tau_vl
+        )
         rate += r
         harvested += e
 
-    if protocol in _RF_ACTIVE:
-        tx_total = (
-            scenario.rf_total_tx_power
-            if protocol is ProtocolId.RF_ONLY
-            else scenario.rf_wpt_tx_power
-        )
-        p_rx = mean_rf_received_power(scenario, tx_total / scenario.n_devices)
+    if row.rf is not None:
+        p_rx = mean_rf_received_power(scenario, row.rf(scenario) / scenario.n_devices)
         rate += rf_rate(
             p_rx, 1.0 - controls.rho_rf, scenario.rf_noise_power, scenario.rf_bandwidth
         )
@@ -233,12 +244,11 @@ def enumerate_controls(protocol, grid_points_per_axis):
     """Uniform [0, 1] Cartesian grid over the protocol's free control axes."""
     if grid_points_per_axis < 2:
         raise ValueError("grid_points_per_axis must be at least 2")
-    axes = _FREE[protocol]
+    row = _TABLE[protocol]
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
-    pins = _PINS[protocol]
     out = []
-    for combo in itertools.product(levels, repeat=len(axes)):
-        values = dict(pins)
-        values.update(zip(axes, combo))
+    for combo in itertools.product(levels, repeat=len(row.free)):
+        values = dict(row.pins)
+        values.update(zip(row.free, combo))
         out.append(ProtocolControls(**values))
     return out

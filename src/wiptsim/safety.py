@@ -8,7 +8,8 @@ standards phrase their limits as maxima.
 
 from dataclasses import dataclass
 
-from .channel_optical import illuminance_at, irradiance_at
+from .channel_optical import irradiance_at
+from .protocols import _vl_illuminance
 
 ILLUMINANCE_WITHIN = "within"
 ILLUMINANCE_BELOW = "below"
@@ -39,8 +40,7 @@ def check_irradiance(scenario, body_geometry):
     Passes unconditionally when beam steering keeps the light off the body;
     otherwise the per-element beam power must stay under the limit.
     """
-    per_element = scenario.nirl_bulb_power / scenario.n_devices
-    level = irradiance_at(per_element, body_geometry)
+    level = irradiance_at(scenario.nirl_power_per_device(), body_geometry)
     margin = scenario.safety.nirl_irradiance_limit - level
     ok = scenario.safety.nirl_beam_avoids_body or margin >= 0.0
     return ok, margin
@@ -48,8 +48,8 @@ def check_irradiance(scenario, body_geometry):
 
 def check_illuminance(scenario, dim_mode):
     """Classify the VL illuminance at the receiver plane against the range."""
-    drive = scenario.vl_bulb_power * (scenario.vl_dim_fraction if dim_mode else 1.0)
-    level = illuminance_at(drive, scenario.luminous_efficacy, scenario.vl_geometry())
+    fraction = scenario.vl_dim_fraction if dim_mode else 1.0
+    level = _vl_illuminance(scenario, fraction, scenario.vl_geometry())
     if level < scenario.safety.illuminance_min:
         cls = ILLUMINANCE_BELOW
     elif level > scenario.safety.illuminance_max:

@@ -32,6 +32,16 @@ def dbm_to_watts(dbm):
     return 10.0 ** (dbm / 10.0 - 3.0)
 
 
+def _require_positive(obj, names, prefix=""):
+    """Reject any named field of obj that is not finite and positive."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ScenarioValidationError(
+                f"{prefix}{name} must be finite and positive, got {value}"
+            )
+
+
 @dataclass(frozen=True)
 class EhRfModel:
     """Logistic RF rectifier parameters: saturation level, steepness, turn-on."""
@@ -41,9 +51,7 @@ class EhRfModel:
     b: float = 0.014
 
     def __post_init__(self):
-        for name in ("p_sat", "a", "b"):
-            if not getattr(self, name) > 0.0:
-                raise ScenarioValidationError(f"eh_rf.{name} must be positive")
+        _require_positive(self, ("p_sat", "a", "b"), "eh_rf.")
 
 
 @dataclass(frozen=True)
@@ -54,9 +62,7 @@ class EhOpticalModel:
     dark_saturation_current: float = 1e-9
 
     def __post_init__(self):
-        for name in ("thermal_voltage", "dark_saturation_current"):
-            if not getattr(self, name) > 0.0:
-                raise ScenarioValidationError(f"eh_optical.{name} must be positive")
+        _require_positive(self, ("thermal_voltage", "dark_saturation_current"), "eh_optical.")
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,9 @@ class SafetyLimits:
     nirl_beam_avoids_body: bool = True
 
     def __post_init__(self):
-        for name in ("sar_power_budget", "sar_window", "nirl_irradiance_limit"):
-            if not getattr(self, name) > 0.0:
-                raise ScenarioValidationError(f"safety.{name} must be positive")
+        _require_positive(
+            self, ("sar_power_budget", "sar_window", "nirl_irradiance_limit"), "safety."
+        )
         if not self.illuminance_min < self.illuminance_max:
             raise ScenarioValidationError(
                 "safety.illuminance_min must be below safety.illuminance_max"
@@ -186,10 +192,7 @@ def _validate(s):
         raise ScenarioValidationError("rng_seed must be nonnegative")
     if not (math.isfinite(s.rician_k) and s.rician_k >= 0.0):
         raise ScenarioValidationError("rician_k must be finite and nonnegative")
-    for name in _POSITIVE_FIELDS:
-        value = getattr(s, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ScenarioValidationError(f"{name} must be positive, got {value}")
+    _require_positive(s, _POSITIVE_FIELDS)
     for name in _ANGLE_FIELDS:
         value = getattr(s, name)
         if not 0.0 <= value < 90.0:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from wiptsim.cli import CSV_HEADER, main
@@ -71,6 +73,19 @@ def test_region_default_out_name(default_file, tmp_path, monkeypatch):
     assert main(["region", default_file, "vl", "--grid", "3"]) == 0
     assert (tmp_path / "region_vl.csv").exists()
     assert (tmp_path / "region_vl.frontier.csv").exists()
+
+
+def test_region_files_honour_umask(default_file, tmp_path):
+    out = tmp_path / "rf.csv"
+    previous = os.umask(0o022)
+    try:
+        assert main(["region", default_file, "rf", "--grid", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (out, tmp_path / "rf.frontier.csv"):
+        assert path.stat().st_mode & 0o777 == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml", "rf.csv",
+                                                          "rf.frontier.csv"]
 
 
 def test_region_runs_are_byte_identical(default_file, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from wiptsim import (
     rf_harvest,
     rf_rate,
 )
-from wiptsim.protocols import _link_gains
+from wiptsim.protocols import _TABLE, _link_gains
 
 
 def test_free_controls_map():
@@ -214,3 +215,28 @@ def test_enumerate_endpoints_and_pins():
 def test_enumerate_grid_too_small():
     with pytest.raises(ValueError):
         enumerate_controls(ProtocolId.A, 1)
+
+
+def _readme_protocol_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Protocols\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("`"):
+            continue
+        name, nirl, vl, rf, free = cells
+        rows[name.strip("`")] = (
+            tuple(axis.strip().strip("`") for axis in free.split(",")),
+            (nirl != "off", vl != "off", rf != "off"),
+        )
+    return rows
+
+
+def test_readme_protocol_table_matches_code():
+    rows = _readme_protocol_rows()
+    assert list(rows) == [p.value for p in ProtocolId]
+    for protocol in ProtocolId:
+        free, bands = rows[protocol.value]
+        assert free == free_controls(protocol)
+        assert bands == _TABLE[protocol].bands_on()

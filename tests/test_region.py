@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,11 +14,13 @@ from wiptsim import (
     dominates,
     enumerate_controls,
     evaluate,
+    illuminance_at,
     max_energy,
     max_rate,
     pareto,
     sweep,
 )
+from wiptsim.cli import _csv_text
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -189,3 +192,47 @@ def test_every_protocol_tops_nirl_baseline_energy(scenario):
     nirl_best = max_energy(sweep(scenario, ProtocolId.NIRL_ONLY, 5))
     for protocol in (ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D):
         assert max_energy(sweep(scenario, protocol, 5)) >= nirl_best
+
+
+# sha256 of the points CSV and the frontier CSV at grid 21, fixed before the
+# protocol definitions were folded into one table; any change to a protocol's
+# arithmetic, enumeration order or CSV formatting shows up here.
+_GOLDEN = {
+    ("default", "rf"): ("6a5f339902dcb93544d6a9b3819eaf3183806dc8d55f65a3945ebe2b39b44a7e", "bbab1d30b74ccd84b5cc2ab8ba64a0193d5e736d7c3526a73905f0c121071249"),
+    ("default", "vl"): ("6654e95047671d4093e6fa761b4a2cc4eb400a523c9844db7939555e81387f85", "1a2ab4f5489551fa458867af4f46c3b7b2e6be4c7c7a45470bb99cd7417d89a4"),
+    ("default", "nirl"): ("dca9069bc65396ef7d5350c9d97d118603a4c264a0f056ccf650ffb130ca1d51", "1e57dafbc0d5411551e156f699e4b32d89387fbbf19baae924af8d74c51a5f91"),
+    ("default", "a"): ("287c117cd36ead82cafbf26a5c3aab835d4fac2030b916d89e80af4358efa037", "55809f15a1e7aae6093917713efd17df11dc4f9aa17e7400391af8d55e47fcc7"),
+    ("default", "b"): ("69cfc4efa6883db901bf1036d32733b3b087e2fab75ae844e276cc977a875df7", "364f0d1ba3c359ff9e9039d4445760a3f86e330b925257cd1f391c35b4725935"),
+    ("default", "c"): ("2d8cc7456b501789c6c6a0fae57db9da01266822097421e3f10d4381ce6965b2", "7120fb1a171fc5d7e142d076b2b2dc3963ff793deeb0cf6fccfe02ce27511e30"),
+    ("default", "d"): ("30810a430bef3f28efb697872eda664b9a144865088335527b2efdebe6098c7a", "0b123373cf342dde02a4843b69acdc2d95f42051fbede102542654643745b8df"),
+    ("lux_gated", "rf"): ("6a5f339902dcb93544d6a9b3819eaf3183806dc8d55f65a3945ebe2b39b44a7e", "bbab1d30b74ccd84b5cc2ab8ba64a0193d5e736d7c3526a73905f0c121071249"),
+    ("lux_gated", "vl"): ("6654e95047671d4093e6fa761b4a2cc4eb400a523c9844db7939555e81387f85", "1a2ab4f5489551fa458867af4f46c3b7b2e6be4c7c7a45470bb99cd7417d89a4"),
+    ("lux_gated", "nirl"): ("dca9069bc65396ef7d5350c9d97d118603a4c264a0f056ccf650ffb130ca1d51", "1e57dafbc0d5411551e156f699e4b32d89387fbbf19baae924af8d74c51a5f91"),
+    ("lux_gated", "a"): ("287c117cd36ead82cafbf26a5c3aab835d4fac2030b916d89e80af4358efa037", "55809f15a1e7aae6093917713efd17df11dc4f9aa17e7400391af8d55e47fcc7"),
+    ("lux_gated", "b"): ("69cfc4efa6883db901bf1036d32733b3b087e2fab75ae844e276cc977a875df7", "364f0d1ba3c359ff9e9039d4445760a3f86e330b925257cd1f391c35b4725935"),
+    ("lux_gated", "c"): ("3abe12325abf82647f73ccf31d94476772cac43cafab9f4bcb63fc5b0d541717", "4fa23aedbafd11891d93878e6d87b65be7a3ea02637f1465a422f3342c617818"),
+    ("lux_gated", "d"): ("30810a430bef3f28efb697872eda664b9a144865088335527b2efdebe6098c7a", "0b123373cf342dde02a4843b69acdc2d95f42051fbede102542654643745b8df"),
+}
+
+
+def _lux_gated(scenario):
+    """Illuminance range at 0.3x..0.8x of full drive: protocol c rejects tuples."""
+    full = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy,
+                          scenario.vl_geometry())
+    limits = dataclasses.replace(scenario.safety, illuminance_min=0.3 * full,
+                                 illuminance_max=0.8 * full)
+    return dataclasses.replace(scenario, safety=limits)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", ["default", "lux_gated"])
+def test_region_csv_golden_bytes(scenario, variant, protocol):
+    s = scenario if variant == "default" else _lux_gated(scenario)
+    region = sweep(s, protocol, 21)
+    if (variant, protocol) == ("lux_gated", ProtocolId.C):
+        assert len(region.points) == 9261 - 5418
+    digests = tuple(
+        hashlib.sha256(_csv_text(protocol, pts).encode()).hexdigest()
+        for pts in (region.points, region.frontier)
+    )
+    assert digests == _GOLDEN[variant, protocol.value]

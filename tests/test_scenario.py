@@ -125,6 +125,10 @@ def test_validation_names_field():
         ("mc_samples = 0", "mc_samples"),
         ("n_rf_antennas = 0", "n_rf_antennas"),
         ("p_sat = -0.1", "p_sat"),
+        ("p_sat = inf", "eh_rf.p_sat"),
+        ("b = inf", "eh_rf.b"),
+        ("dark_saturation_current = inf", "eh_optical.dark_saturation_current"),
+        ("sar_power_budget = inf", "safety.sar_power_budget"),
         ("illuminance_min = 2000", "illuminance_min"),
     ],
 )
