@@ -53,7 +53,7 @@ def _cos_deg(angle):
     return math.cos(math.radians(angle))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # mpmath is slow; bounded so long studies do not grow it
 def lambertian_order(semi_angle):
     """Lambertian mode number m = -ln 2 / ln(cos(semi_angle)).
 

@@ -43,7 +43,9 @@ def mrt_received_power(tx_power_per_device, channel, path_gain):
     return tx_power_per_device * path_gain * norm_sq
 
 
-@lru_cache(maxsize=None)
+# Bounded, but large enough that a parameter study revisiting up to 256
+# fading configurations never rebuilds an ensemble it has already drawn.
+@lru_cache(maxsize=256)
 def _mean_mrt_norm_sq(n_antennas, k_factor, seed, samples):
     # One seeded ensemble per (scenario) key so every sweep point shares
     # the identical channel draw set.

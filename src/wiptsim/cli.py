@@ -1,6 +1,7 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
-Exit codes: 0 success, 1 scenario file problem, 2 unknown protocol or bad
+Exit codes: 0 success, 1 scenario file problem (including model constants
+that make a band's rate or harvest inf or NaN), 2 unknown protocol or bad
 --grid, 3 degenerate region, 4 safety verdict failed.
 """
 
@@ -13,7 +14,7 @@ from pathlib import Path
 from .region import DegenerateRegionError, dominates, max_energy, max_rate, sweep
 from .protocols import _TABLE, ProtocolId
 from .safety import evaluate_safety
-from .scenario import ScenarioError, parse_scenario
+from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
 
 _PROTOCOLS = {p.value: p for p in ProtocolId}
 # A baseline is a protocol that uses a single band.
@@ -27,29 +28,42 @@ def _load_scenario(path):
     return parse_scenario(text)
 
 
-def _csv_text(protocol, points):
-    lines = [CSV_HEADER]
+def _csv_rows(protocol, points):
+    """The CSV lines of a region's points, newline-terminated, header first."""
+    yield CSV_HEADER + "\n"
+    prefix = protocol.value + ","
     for p in points:
         c = p.controls
         fields = (c.alpha_nirl, c.tau_nirl, c.alpha_vl, c.tau_vl, c.rho_rf,
                   p.rate, p.harvested_power)
-        lines.append(protocol.value + "," + ",".join(f"{v:.8e}" for v in fields))
-    return "\n".join(lines) + "\n"
+        yield prefix + ",".join([f"{v:.8e}" for v in fields]) + "\n"
 
 
-def _write_atomic(path, text):
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
-    # open() creates the file with mode 0o666 less the umask, as a direct
-    # write would; mkstemp would force 0o600.
-    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+def _write_together(outputs):
+    """Write each (path, lines) pair as one set of files.
+
+    Every file is first written in full to a temporary file beside its
+    target; only then is each renamed over its target.  If writing any of
+    them fails, every temporary file is removed and the old targets stay
+    as they were.  Lines are formatted as they are written, so the whole
+    text is never built.
+    """
+    moves = []
     try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, target)
+        for path, lines in outputs:
+            target = Path(path)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+            # open() creates the file with mode 0o666 less the umask, as a
+            # direct write would; mkstemp would force 0o600.
+            with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+                moves.append((tmp, target))
+                handle.writelines(lines)  # streams through the file's buffer
+        for tmp, target in moves:
+            os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -61,30 +75,42 @@ def _frontier_path(out_path):
 
 def cmd_region(scenario, protocol, grid, out_path):
     region = sweep(scenario, protocol, grid)
-    _write_atomic(out_path, _csv_text(protocol, region.points))
     frontier_path = _frontier_path(out_path)
-    _write_atomic(frontier_path, _csv_text(protocol, region.frontier))
+    _write_together([(out_path, _csv_rows(protocol, region.points)),
+                     (frontier_path, _csv_rows(protocol, region.frontier))])
     print(f"{len(region.points)} points -> {out_path}")
     print(f"{len(region.frontier)} frontier points -> {frontier_path}")
     return 0
 
 
+def _compare_row(protocol, region, baselines):
+    row = f"{protocol.value:<10}{len(region.points):>8}"
+    row += f"{max_rate(region):>16.6e}{max_energy(region):>16.6e}"
+    if protocol in _BASELINES:
+        return row + "".join(f"{'-':>10}" for _ in _BASELINES)
+    return row + "".join(
+        f"{'yes' if dominates(region, baselines[b]) else 'no':>10}" for b in _BASELINES
+    )
+
+
 def cmd_compare(scenario, grid):
-    regions = {}
-    for protocol in ProtocolId:
-        regions[protocol] = sweep(scenario, protocol, grid)
+    # Baselines are swept first and kept; each combined region is reduced
+    # to its table row as soon as it is swept, so at most one large region
+    # is alive at a time.  Rows print once all are built, so a degenerate
+    # region prints nothing.
+    baselines = {}
+    rows = {}
+    for protocol in sorted(ProtocolId, key=lambda p: p not in _BASELINES):
+        region = sweep(scenario, protocol, grid)
+        if protocol in _BASELINES:
+            baselines[protocol] = region
+        rows[protocol] = _compare_row(protocol, region, baselines)
+        del region  # before the next sweep allocates its points
     header = f"{'protocol':<10}{'points':>8}{'max_rate_bps':>16}{'max_energy_w':>16}"
     header += "".join(f"{'dom_' + b.value:>10}" for b in _BASELINES)
     print(header)
-    for protocol, region in regions.items():
-        row = f"{protocol.value:<10}{len(region.points):>8}"
-        row += f"{max_rate(region):>16.6e}{max_energy(region):>16.6e}"
-        if protocol in _BASELINES:
-            row += "".join(f"{'-':>10}" for _ in _BASELINES)
-        else:
-            for baseline in _BASELINES:
-                row += f"{'yes' if dominates(region, regions[baseline]) else 'no':>10}"
-        print(row)
+    for protocol in ProtocolId:
+        print(rows[protocol])
     return 0
 
 
@@ -144,6 +170,8 @@ def main(argv=None):
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return 2
 
+    if args.command == "safety":
+        return cmd_safety(scenario, args.dim)
     if args.command == "region":
         protocol = _PROTOCOLS.get(args.protocol.lower())
         if protocol is None:
@@ -151,18 +179,17 @@ def main(argv=None):
                   f"(expected one of: {', '.join(_PROTOCOLS)})", file=sys.stderr)
             return 2
         out_path = args.out if args.out is not None else f"region_{protocol.value}.csv"
-        try:
+    try:
+        if args.command == "region":
             return cmd_region(scenario, protocol, args.grid, out_path)
-        except DegenerateRegionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    if args.command == "compare":
-        try:
-            return cmd_compare(scenario, args.grid)
-        except DegenerateRegionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    return cmd_safety(scenario, args.dim)
+        return cmd_compare(scenario, args.grid)
+    except DegenerateRegionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ScenarioValidationError as exc:
+        # a band's rate or harvest came out inf or NaN
+        print(f"error: invalid scenario '{args.scenario}': {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ bulb at the configured dim level with equal DC and AC parts.
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .channel_optical import channel_gain, illuminance_at
 from .channel_rf import mean_rf_received_power
 from .harvest import optical_harvest, rf_harvest
 from .link_rates import admissible_ac_peak, lightwave_rate, rf_rate
+from .scenario import ScenarioValidationError
 
 
 class ProtocolId(enum.Enum):
@@ -47,7 +50,7 @@ class InfeasibleControlsError(ValueError):
     """Controls violate protocol c's illuminance range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolControls:
     """Free variables of a protocol; pinned fields carry their pinned values."""
 
@@ -58,13 +61,17 @@ class ProtocolControls:
     rho_rf: float      # RF power-splitting factor (EH share)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{f.name} must lie in [0, 1], got {value}")
+        # Spelled out, not looped: this runs once per enumerated tuple.
+        if not (0.0 <= self.alpha_nirl <= 1.0 and 0.0 <= self.tau_nirl <= 1.0
+                and 0.0 <= self.alpha_vl <= 1.0 and 0.0 <= self.tau_vl <= 1.0
+                and 0.0 <= self.rho_rf <= 1.0):
+            name, value = next((name, value) for name, value
+                               in zip(_CONTROL_NAMES, _control_values(self))
+                               if not 0.0 <= value <= 1.0)
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatingPoint:
     """One achievable (rate, harvested power) pair of a protocol."""
 
@@ -75,6 +82,7 @@ class OperatingPoint:
 
 
 _CONTROL_NAMES = tuple(f.name for f in fields(ProtocolControls))
+_control_values = attrgetter(*_CONTROL_NAMES)
 _SWEPT = None  # marks a control the protocol leaves free in a table row
 
 
@@ -92,6 +100,10 @@ class _Protocol:
         named = tuple(zip(_CONTROL_NAMES, controls))
         self.free = tuple(name for name, value in named if value is _SWEPT)
         self.pins = {name: value for name, value in named if value is not _SWEPT}
+        # pinned(controls) == pin_values is the per-call pin check
+        self.pinned = attrgetter(*self.pins)
+        self.pin_values = self.pinned(SimpleNamespace(**self.pins))
+        self.controls = tuple(controls)
         self.nirl = nirl
         self.vl = vl
         self.rf = rf
@@ -152,7 +164,6 @@ def _check_pins(protocol, pins, controls):
             )
 
 
-@lru_cache(maxsize=None)
 def _link_gains(scenario):
     h_vl = channel_gain(scenario.vl_geometry(), scenario.pd_area, scenario.optical_filter_gain)
     h_nirl = channel_gain(scenario.nirl_geometry(), scenario.pd_area, scenario.optical_filter_gain)
@@ -176,79 +187,145 @@ def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, id_time_fract
     return rate, harvested
 
 
+def _rf_branch(scenario, tx_power, rho):
+    """(rate, harvested power) of the RF band at a total transmit power."""
+    p_rx = mean_rf_received_power(scenario, tx_power / scenario.n_devices)
+    rate = rf_rate(p_rx, 1.0 - rho, scenario.rf_noise_power, scenario.rf_bandwidth)
+    return rate, rf_harvest(rho * p_rx, scenario.eh_rf)
+
+
 def _vl_illuminance(scenario, fraction, geometry):
     """Illuminance (lx) at the receiver plane with the VL bulb at a drive fraction."""
     return illuminance_at(fraction * scenario.vl_bulb_power, scenario.luminous_efficacy, geometry)
 
 
-def _check_vl_illuminance(scenario, controls):
+def _lux_violation(scenario, alpha_vl, tau_vl):
+    """Why a VL drive leaves the illuminance range, or None when it does not."""
     # The eye averages over the frame, so the perceived level follows the
     # frame-average DC drive (the AC part has zero mean).
-    avg_fraction = controls.tau_vl * controls.alpha_vl + (1.0 - controls.tau_vl)
+    avg_fraction = tau_vl * alpha_vl + (1.0 - tau_vl)
     geometry = scenario.vl_geometry()
     level = _vl_illuminance(scenario, avg_fraction, geometry)
     limits = scenario.safety
     if level > limits.illuminance_max:
-        raise InfeasibleControlsError(
-            f"VL drive yields {level:.1f} lx, above {limits.illuminance_max} lx"
-        )
+        return f"VL drive yields {level:.1f} lx, above {limits.illuminance_max} lx"
     full = _vl_illuminance(scenario, 1.0, geometry)
     # The floor only binds when the bulb can reach it at all; otherwise the
     # shortfall is a property of the room, not of the control setting.
     if level < limits.illuminance_min <= full:
-        raise InfeasibleControlsError(
-            f"VL drive yields {level:.1f} lx, below {limits.illuminance_min} lx"
+        return f"VL drive yields {level:.1f} lx, below {limits.illuminance_min} lx"
+    return None
+
+
+def _finite(band, term):
+    """Pass a band's (rate, harvested power) through, rejecting inf and NaN."""
+    if not (math.isfinite(term[0]) and math.isfinite(term[1])):
+        raise ScenarioValidationError(
+            f"the {band} band yields a non-finite (rate, harvested power) = {term}; "
+            f"the scenario's model constants are out of range"
         )
+    return term
+
+
+# Entries per band memo.  A grid-G sweep has at most G^2 distinct band
+# tuples (10,201 at the default grid 101), so one sweep never evicts.
+_MEMO_SIZE = 1 << 14
+
+
+class _Bands:
+    """One scenario's band terms, memoised per band control tuple.
+
+    A band's (rate, harvested power) depends only on that band's controls:
+    NIRL on (alpha_nirl, tau_nirl), VL and protocol c's lux gate on
+    (alpha_vl, tau_vl), RF on rho_rf.  A sweep therefore computes each term
+    once per distinct band tuple, not once per grid point.  The memos are
+    bounded and closed over the scenario, so they die with this context.
+    The kernels are looked up in this module on every miss.
+    """
+
+    __slots__ = ("lux", "nirl", "vl", "rf")
+
+    def __init__(self, scenario):
+        h_vl, h_nirl = _link_gains(scenario)
+        nirl_budget = scenario.nirl_power_per_device()
+        memo = lru_cache(maxsize=_MEMO_SIZE)
+
+        @memo
+        def lux(alpha_vl, tau_vl):
+            return _lux_violation(scenario, alpha_vl, tau_vl)
+
+        @memo
+        def nirl(alpha, tau):
+            return _finite("NIRL", _lightwave_branch(scenario, nirl_budget, h_nirl, alpha, tau))
+
+        @memo
+        def vl(budget, alpha, tau):
+            return _finite("VL", _lightwave_branch(scenario, budget(scenario), h_vl, alpha, tau))
+
+        @memo
+        def rf(power, rho):
+            return _finite("RF", _rf_branch(scenario, power(scenario), rho))
+
+        self.lux, self.nirl, self.vl, self.rf = lux, nirl, vl, rf
+
+
+# The last scenario and its band context, compared by identity so the
+# frozen Scenario is never hashed.  One tuple, replaced whole, so a reader
+# never pairs one scenario with another's context.
+_last_bands = (None, None)
+
+
+def _bands_for(scenario):
+    global _last_bands
+    last, bands = _last_bands
+    if last is not scenario:
+        bands = _Bands(scenario)
+        _last_bands = (scenario, bands)
+    return bands
 
 
 def evaluate(scenario, protocol, controls):
     """Per-device operating point of a protocol at a concrete control setting.
 
-    Raises PinnedControlError when a pinned control deviates and
-    InfeasibleControlsError for protocol c illuminance violations.
+    Raises PinnedControlError when a pinned control deviates,
+    InfeasibleControlsError for protocol c illuminance violations and
+    ScenarioValidationError when a band term comes out inf or NaN.
     """
     row = _TABLE[protocol]
-    _check_pins(protocol, row.pins, controls)
+    if row.pinned(controls) != row.pin_values:
+        _check_pins(protocol, row.pins, controls)
+    bands = _bands_for(scenario)
     if row.lux_gated:
-        _check_vl_illuminance(scenario, controls)
-    h_vl, h_nirl = _link_gains(scenario)
+        violation = bands.lux(controls.alpha_vl, controls.tau_vl)
+        if violation is not None:
+            raise InfeasibleControlsError(violation)
     rate = 0.0
     harvested = 0.0
 
     if row.nirl:
-        r, e = _lightwave_branch(
-            scenario, scenario.nirl_power_per_device(), h_nirl,
-            controls.alpha_nirl, controls.tau_nirl,
-        )
+        r, e = bands.nirl(controls.alpha_nirl, controls.tau_nirl)
         rate += r
         harvested += e
 
     if row.vl is not None:
-        r, e = _lightwave_branch(
-            scenario, row.vl(scenario), h_vl, controls.alpha_vl, controls.tau_vl
-        )
+        r, e = bands.vl(row.vl, controls.alpha_vl, controls.tau_vl)
         rate += r
         harvested += e
 
     if row.rf is not None:
-        p_rx = mean_rf_received_power(scenario, row.rf(scenario) / scenario.n_devices)
-        rate += rf_rate(
-            p_rx, 1.0 - controls.rho_rf, scenario.rf_noise_power, scenario.rf_bandwidth
-        )
-        harvested += rf_harvest(controls.rho_rf * p_rx, scenario.eh_rf)
+        r, e = bands.rf(row.rf, controls.rho_rf)
+        rate += r
+        harvested += e
 
-    return OperatingPoint(rate=rate, harvested_power=harvested, controls=controls, protocol=protocol)
+    return OperatingPoint(rate, harvested, controls, protocol)
 
 
 def enumerate_controls(protocol, grid_points_per_axis):
     """Uniform [0, 1] Cartesian grid over the protocol's free control axes."""
     if grid_points_per_axis < 2:
         raise ValueError("grid_points_per_axis must be at least 2")
-    row = _TABLE[protocol]
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
-    out = []
-    for combo in itertools.product(levels, repeat=len(row.free)):
-        values = dict(row.pins)
-        values.update(zip(row.free, combo))
-        out.append(ProtocolControls(**values))
-    return out
+    # A pinned axis is a one-level axis, so the product runs over the free
+    # axes in the same order and yields full positional control tuples.
+    axes = [levels if value is _SWEPT else (value,) for value in _TABLE[protocol].controls]
+    return list(itertools.starmap(ProtocolControls, itertools.product(*axes)))

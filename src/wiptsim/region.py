@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .protocols import InfeasibleControlsError, OperatingPoint, ProtocolId, enumerate_controls, evaluate
 
@@ -51,18 +52,17 @@ def pareto(points):
     coordinates and strictly better in one; exact duplicates collapse to
     their first occurrence in input order.
     """
-    order = sorted(
-        range(len(points)),
-        key=lambda i: (-points[i].rate, -points[i].harvested_power, i),
-    )
+    # A stable sort keeps input order among equal (rate, harvest) keys, so
+    # the first of a run of duplicates is the one kept.
+    order = sorted(points, key=attrgetter("rate", "harvested_power"), reverse=True)
     kept = []
     best_harvest = -math.inf
-    for i in order:
-        if points[i].harvested_power > best_harvest:
-            kept.append(i)
-            best_harvest = points[i].harvested_power
+    for point in order:
+        if point.harvested_power > best_harvest:
+            kept.append(point)
+            best_harvest = point.harvested_power
     kept.reverse()
-    return [points[i] for i in kept]
+    return kept
 
 
 def max_rate(region):

@@ -1,7 +1,9 @@
+import hashlib
 import os
 
 import pytest
 
+from wiptsim import cli
 from wiptsim.cli import CSV_HEADER, main
 
 
@@ -103,6 +105,55 @@ def test_compare_table(default_file, capsys):
     assert len(lines) == 8  # header plus seven regions
     for name in ("rf", "vl", "nirl", "a", "b", "c", "d"):
         assert any(line.startswith(name) for line in lines[1:])
+
+
+def test_compare_golden_stdout(default_file, capsys):
+    # sha256 of the whole table, fixed before the band terms were memoised
+    assert main(["compare", default_file, "--grid", "11"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "76cc0e70ec9653ae6a042e02b318b2cba334bbbadbc7929051f313a13fb32e00"
+
+
+@pytest.fixture
+def overflowing_file(tmp_path):
+    # valid by the scenario checks, but the optical harvest overflows to inf
+    path = tmp_path / "overflow.toml"
+    path.write_text("thermal_voltage = 1e308\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["region", "nirl", "--grid", "5"], ["compare", "--grid", "5"]])
+def test_non_finite_region_exits_1(overflowing_file, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    assert main([command, overflowing_file, *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "band" in captured.err and "non-finite" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.toml"]
+
+
+def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monkeypatch):
+    out = tmp_path / "b.csv"
+    frontier = tmp_path / "b.frontier.csv"
+    assert main(["region", default_file, "b", "--grid", "3", "--out", str(out)]) == 0
+    before = out.read_bytes(), frontier.read_bytes()
+    real_rows = cli._csv_rows
+    calls = []
+
+    def failing_rows(protocol, points):
+        calls.append(protocol)
+        rows = real_rows(protocol, points)
+        if len(calls) == 2:  # the frontier file
+            yield next(rows)
+            raise OSError("disk full")
+        yield from rows
+
+    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    with pytest.raises(OSError, match="disk full"):
+        main(["region", default_file, "b", "--grid", "5", "--out", str(out)])
+    assert (out.read_bytes(), frontier.read_bytes()) == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_safety_default_reports_and_fails_on_lighting(default_file, capsys):

@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 from wiptsim import (
+    EhOpticalModel,
     InfeasibleControlsError,
     PinnedControlError,
     ProtocolControls,
     ProtocolId,
+    ScenarioValidationError,
     controls_for,
     enumerate_controls,
     evaluate,
@@ -17,7 +19,10 @@ from wiptsim import (
     optical_harvest,
     rf_harvest,
     rf_rate,
+    sweep,
 )
+from wiptsim.channel_optical import lambertian_order
+from wiptsim.channel_rf import _mean_mrt_norm_sq
 from wiptsim.protocols import _TABLE, _link_gains
 
 
@@ -240,3 +245,80 @@ def test_readme_protocol_table_matches_code():
         free, bands = rows[protocol.value]
         assert free == free_controls(protocol)
         assert bands == _TABLE[protocol].bands_on()
+
+
+def _bits(point):
+    return point.rate.hex(), point.harvested_power.hex()
+
+
+def _cold(scenario, protocol, controls):
+    """evaluate on an equal but new scenario object, so no memoised term is reused."""
+    try:
+        return _bits(evaluate(dataclasses.replace(scenario), protocol, controls))
+    except InfeasibleControlsError:
+        return None
+
+
+@pytest.mark.parametrize("variant", ["scenario", "lux_gated_scenario"])
+def test_sweep_bit_equal_to_cold_evaluate(request, variant):
+    # All seven sweeps share one scenario object, so later protocols read
+    # band terms the earlier ones memoised (d's dimmed VL beside the full VL
+    # of a-c, rf's full RF power beside the WPT power of a-d).
+    s = request.getfixturevalue(variant)
+    for protocol in ProtocolId:
+        swept = {p.controls: _bits(p) for p in sweep(s, protocol, 21).points}
+        for controls in enumerate_controls(protocol, 21):
+            assert swept.get(controls) == _cold(s, protocol, controls), (protocol, controls)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)
+def test_negative_zero_controls_match_zero(scenario, protocol):
+    zero = controls_for(protocol, **dict.fromkeys(free_controls(protocol), 0.0))
+    negative = controls_for(protocol, **dict.fromkeys(free_controls(protocol), -0.0))
+    expected = _cold(scenario, protocol, zero)
+    # either sign may be the one that fills the memo
+    for first, second in ((zero, negative), (negative, zero)):
+        fresh = dataclasses.replace(scenario)
+        assert _bits(evaluate(fresh, protocol, first)) == expected
+        assert _bits(evaluate(fresh, protocol, second)) == expected
+
+
+def test_interleaved_scenarios_keep_their_own_terms(scenario, lux_gated_scenario):
+    other = dataclasses.replace(
+        lux_gated_scenario, nirl_bulb_power=40.0, vl_dim_fraction=0.2, rf_distance=6.0
+    )
+    cases = [(protocol, controls) for protocol in ProtocolId
+             for controls in enumerate_controls(protocol, 3)]
+    expected = {s: [_cold(s, p, c) for p, c in cases] for s in (scenario, other)}
+    assert expected[scenario] != expected[other]
+    for _ in range(2):
+        for i, (protocol, controls) in enumerate(cases):
+            for s in (scenario, other):
+                try:
+                    got = _bits(evaluate(s, protocol, controls))
+                except InfeasibleControlsError:
+                    got = None
+                assert got == expected[s][i]
+
+
+@pytest.mark.parametrize("protocol", [ProtocolId.NIRL_ONLY, ProtocolId.VL_ONLY, ProtocolId.D])
+def test_non_finite_band_term_rejected(scenario, protocol):
+    # a huge thermal voltage passes validation but overflows the optical harvest
+    bad = dataclasses.replace(scenario, eh_optical=EhOpticalModel(thermal_voltage=1e308))
+    band = "VL" if protocol is ProtocolId.VL_ONLY else "NIRL"
+    with pytest.raises(ScenarioValidationError, match=f"{band} band"):
+        sweep(bad, protocol, 5)
+
+
+def test_scenario_caches_stay_bounded(scenario):
+    semi_bound = lambertian_order.cache_info().maxsize
+    ensemble_bound = _mean_mrt_norm_sq.cache_info().maxsize
+    assert semi_bound is not None and ensemble_bound is not None
+    for i in range(max(semi_bound, ensemble_bound) + 8):
+        s = dataclasses.replace(
+            scenario, vl_semi_angle=10.0 + i * 1e-3, rng_seed=i, mc_samples=1
+        )
+        sweep(s, ProtocolId.D, 2)
+        sweep(s, ProtocolId.VL_ONLY, 2)
+    assert lambertian_order.cache_info().currsize == semi_bound
+    assert _mean_mrt_norm_sq.cache_info().currsize == ensemble_bound

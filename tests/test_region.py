@@ -20,7 +20,7 @@ from wiptsim import (
     pareto,
     sweep,
 )
-from wiptsim.cli import _csv_text
+from wiptsim.cli import _csv_rows
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -232,7 +232,7 @@ def test_region_csv_golden_bytes(scenario, variant, protocol):
     if (variant, protocol) == ("lux_gated", ProtocolId.C):
         assert len(region.points) == 9261 - 5418
     digests = tuple(
-        hashlib.sha256(_csv_text(protocol, pts).encode()).hexdigest()
+        hashlib.sha256("".join(_csv_rows(protocol, pts)).encode()).hexdigest()
         for pts in (region.points, region.frontier)
     )
     assert digests == _GOLDEN[variant, protocol.value]
