@@ -17,9 +17,8 @@ illuminance (lx) used by the safety checks.
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
-
-import mpmath
 
 # Receiver field of view. Incidence at or beyond this angle contributes no
 # signal; there is no concentrator so the gain inside the FoV is flat.
@@ -53,16 +52,60 @@ def _cos_deg(angle):
     return math.cos(math.radians(angle))
 
 
-@lru_cache(maxsize=1024)  # mpmath is slow; bounded so long studies do not grow it
+@lru_cache(maxsize=1024)  # each order costs ~0.1 ms; bounded so long studies do not grow it
 def lambertian_order(semi_angle):
     """Lambertian mode number m = -ln 2 / ln(cos(semi_angle)).
 
-    Evaluated through mpmath at extended precision so the special angles
-    come out exact (m(60) == 1.0, m(45) == 2.0); the plain float path is
-    one ulp off there because radians(60) is not representable.
+    Evaluated at extended precision so the special angles come out exact
+    (m(60) == 1.0, m(45) == 2.0); the plain float path is one ulp off
+    there because radians(60) is not representable.  The result is the
+    mpmath evaluation at 30 digits, bit for bit (see _decimal_order).
     """
     if not 0.0 < semi_angle < 90.0:
         raise ValueError(f"semi_angle must lie in (0, 90) degrees, got {semi_angle}")
+    order = _decimal_order(semi_angle)
+    return order if order is not None else _mpmath_order(semi_angle)
+
+
+_DECIMAL = Context(prec=40)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_LN2 = _DECIMAL.ln(2)
+_TAYLOR_CUTOFF = Decimal("1e-45")
+# On [1, 89] degrees mpmath at 30 digits lies within 1e-27 (relative) of
+# the true order, and this 40-digit evaluation within 1e-35 (worst cases
+# against 70 digits: 3.2e-28 and 1.5e-36, both just above 1 degree).  A
+# window of 1e-25 around the latter holds both, so where the whole window
+# rounds to one double, that double is also what mpmath yields.
+_WINDOW = Decimal("1e-25")
+
+
+def _decimal_order(semi_angle):
+    """The order in 40-digit decimal arithmetic, or None where uncertified.
+
+    None below 1 or above 89 degrees (1 - cos loses digits near 0, and
+    the order's conditioning worsens near 90), and where the window
+    around the value straddles a rounding boundary between doubles, which
+    no tested angle does.
+    """
+    if not 1.0 <= semi_angle <= 89.0:
+        return None
+    with localcontext(_DECIMAL):
+        x = Decimal(semi_angle) * _PI / 180
+        x2 = x * x
+        term = cosine = Decimal(1)
+        k = 0
+        while abs(term) > _TAYLOR_CUTOFF:  # cos x = sum of (-x^2)^j / (2j)!
+            k += 2
+            term = -term * x2 / (k * (k - 1))
+            cosine += term
+        order = -_LN2 / cosine.ln()
+        low, high = float(order * (1 - _WINDOW)), float(order * (1 + _WINDOW))
+    return low if low == high else None
+
+
+def _mpmath_order(semi_angle):
+    import mpmath  # ~4 MB resident and ~50 ms to import; only this path needs it
+
     with mpmath.workdps(30):
         cosine = mpmath.cospi(mpmath.mpf(semi_angle) / 180)
         return float(-mpmath.log(2) / mpmath.log(cosine))

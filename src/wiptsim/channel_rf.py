@@ -20,12 +20,15 @@ def sample_rician(n_antennas, k_factor, rng):
     circularly-symmetric complex Gaussian.  Identical generator states
     yield identical vectors.
     """
+    return _rician(k_factor, rng.standard_normal(n_antennas), rng.standard_normal(n_antennas))
+
+
+def _rician(k_factor, re, im):
+    # The one Rician formula, for one vector or a chunk of rows alike: each
+    # entry depends only on its own (re, im), so the shape never changes a bit.
     los = math.sqrt(k_factor / (k_factor + 1.0))
     diffuse = math.sqrt(1.0 / (k_factor + 1.0))
-    scatter = (
-        rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)
-    ) / math.sqrt(2.0)
-    return los + diffuse * scatter
+    return los + diffuse * ((re + 1j * im) / math.sqrt(2.0))
 
 
 def path_gain(distance, exponent):
@@ -43,17 +46,27 @@ def mrt_received_power(tx_power_per_device, channel, path_gain):
     return tx_power_per_device * path_gain * norm_sq
 
 
+# Fading vectors drawn per chunk: bounds the ensemble's memory whatever
+# mc_samples is, while keeping the per-vector Python work to one vdot.
+_CHUNK_ROWS = 512
+
+
 # Bounded, but large enough that a parameter study revisiting up to 256
 # fading configurations never rebuilds an ensemble it has already drawn.
 @lru_cache(maxsize=256)
 def _mean_mrt_norm_sq(n_antennas, k_factor, seed, samples):
     # One seeded ensemble per (scenario) key so every sweep point shares
-    # the identical channel draw set.
+    # the identical channel draw set.  A (rows, 2, n) draw takes the
+    # generator's stream in the same order as one sample_rician per row
+    # ([i, 0] real, [i, 1] imaginary), and the norms are added one row at a
+    # time in draw order, so the mean equals the per-sample loop bit for bit
+    # (a vectorised norm or a compensated sum would not).
     rng = np.random.default_rng(seed)
     total = 0.0
-    for _ in range(samples):
-        h = sample_rician(n_antennas, k_factor, rng)
-        total += float(np.real(np.vdot(h, h)))
+    for start in range(0, samples, _CHUNK_ROWS):
+        draws = rng.standard_normal((min(_CHUNK_ROWS, samples - start), 2, n_antennas))
+        for h in _rician(k_factor, draws[:, 0], draws[:, 1]):
+            total += float(np.vdot(h, h).real)
     return total / samples
 
 

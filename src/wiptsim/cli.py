@@ -1,8 +1,9 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
 Exit codes: 0 success, 1 scenario file problem (including model constants
-that make a band's rate or harvest inf or NaN), 2 unknown protocol or bad
---grid, 3 degenerate region, 4 safety verdict failed.
+that make a band's rate or harvest inf or NaN, and a fading ensemble above
+its budget), 2 unknown protocol or bad --grid, 3 degenerate region, 4 safety
+verdict failed, 5 the region's CSV pair could not be written.
 """
 
 import argparse
@@ -28,15 +29,34 @@ def _load_scenario(path):
     return parse_scenario(text)
 
 
+def _csv_field(v):
+    return f"{v:.8e}"
+
+
+class _ControlText(dict):
+    """Control value -> its CSV text, formatted once per distinct value.
+
+    Zeros are never stored: -0.0 == 0.0, so a stored zero would lend its
+    text to the other sign.
+    """
+
+    def __missing__(self, v):
+        text = _csv_field(v)
+        if v:
+            self[v] = text
+        return text
+
+
 def _csv_rows(protocol, points):
     """The CSV lines of a region's points, newline-terminated, header first."""
     yield CSV_HEADER + "\n"
     prefix = protocol.value + ","
+    text = _ControlText()  # a grid has few distinct control levels
     for p in points:
         c = p.controls
-        fields = (c.alpha_nirl, c.tau_nirl, c.alpha_vl, c.tau_vl, c.rho_rf,
-                  p.rate, p.harvested_power)
-        yield prefix + ",".join([f"{v:.8e}" for v in fields]) + "\n"
+        yield (f"{prefix}{text[c.alpha_nirl]},{text[c.tau_nirl]},{text[c.alpha_vl]},"
+               f"{text[c.tau_vl]},{text[c.rho_rf]},"
+               f"{_csv_field(p.rate)},{_csv_field(p.harvested_power)}\n")
 
 
 def _write_together(outputs):
@@ -76,8 +96,13 @@ def _frontier_path(out_path):
 def cmd_region(scenario, protocol, grid, out_path):
     region = sweep(scenario, protocol, grid)
     frontier_path = _frontier_path(out_path)
-    _write_together([(out_path, _csv_rows(protocol, region.points)),
-                     (frontier_path, _csv_rows(protocol, region.frontier))])
+    try:
+        _write_together([(out_path, _csv_rows(protocol, region.points)),
+                         (frontier_path, _csv_rows(protocol, region.frontier))])
+    except OSError as exc:
+        print(f"error: cannot write '{out_path}' and '{frontier_path}': {exc}",
+              file=sys.stderr)
+        return 5
     print(f"{len(region.points)} points -> {out_path}")
     print(f"{len(region.frontier)} frontier points -> {frontier_path}")
     return 0

@@ -179,6 +179,10 @@ _ANGLE_FIELDS = (
 )
 _SEMI_ANGLE_FIELDS = ("vl_semi_angle", "nirl_semi_angle")
 _UNIT_INTERVAL_FIELDS = ("pd_responsivity", "pd_fill_factor")
+# Fading-ensemble budget in channel entries, checked before any draw.  A
+# build costs 1-2 us per fading vector, so the worst case (one antenna)
+# takes 10-20 s on a 2-vCPU host.
+_MAX_ENSEMBLE_ENTRIES = 10_000_000
 
 
 def _validate(s):
@@ -188,6 +192,11 @@ def _validate(s):
         raise ScenarioValidationError("n_devices must be at least 1")
     if s.mc_samples < 1:
         raise ScenarioValidationError("mc_samples must be at least 1")
+    if s.mc_samples * s.n_rf_antennas > _MAX_ENSEMBLE_ENTRIES:
+        raise ScenarioValidationError(
+            f"mc_samples * n_rf_antennas must be at most {_MAX_ENSEMBLE_ENTRIES:,}, "
+            f"got {s.mc_samples:,} * {s.n_rf_antennas:,}"
+        )
     if s.rng_seed < 0:
         raise ScenarioValidationError("rng_seed must be nonnegative")
     if not (math.isfinite(s.rician_k) and s.rician_k >= 0.0):

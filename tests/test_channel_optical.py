@@ -1,8 +1,14 @@
 import dataclasses
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wiptsim
 from wiptsim import (
     OpticalGeometry,
     channel_gain,
@@ -11,6 +17,7 @@ from wiptsim import (
     lambertian_order,
     received_optical_power,
 )
+from wiptsim.channel_optical import _decimal_order, _mpmath_order
 
 VL_GEOMETRY = OpticalGeometry(distance=2.05, irradiance_angle=60.0, incidence_angle=60.0, semi_angle=60.0)
 NIRL_GEOMETRY = OpticalGeometry(distance=2.05, irradiance_angle=0.0, incidence_angle=60.0, semi_angle=15.0)
@@ -132,3 +139,33 @@ def test_geometry_validation(kwargs):
     base = dict(distance=2.05, irradiance_angle=60.0, incidence_angle=60.0, semi_angle=60.0)
     with pytest.raises(ValueError):
         OpticalGeometry(**{**base, **kwargs})
+
+
+def _angles_to_check():
+    rng = random.Random(2024)
+    grid = [i / 4 for i in range(1, 360)]  # every quarter degree in (0, 90)
+    return grid + [rng.uniform(0.0, 90.0) for _ in range(1500)] + [
+        1.0, 89.0, math.nextafter(1.0, 0.0), math.nextafter(89.0, 90.0), 1e-9, 90.0 - 1e-9,
+    ]
+
+
+def test_lambertian_order_equals_mpmath_evaluation():
+    # The decimal path must give mpmath's 30-digit result bit for bit, and
+    # fall back to it outside [1, 89] degrees.
+    for angle in _angles_to_check():
+        lambertian_order.cache_clear()
+        got = lambertian_order(angle)
+        assert got.hex() == _mpmath_order(angle).hex(), angle
+        decimal = _decimal_order(angle)
+        assert (decimal is not None) == (1.0 <= angle <= 89.0), angle
+
+
+def test_import_and_default_orders_leave_mpmath_unloaded():
+    # mpmath costs about 4 MB resident per process; only uncertified angles need it
+    code = ("import sys, wiptsim; wiptsim.lambertian_order(60.0); "
+            "wiptsim.lambertian_order(15.0); print('mpmath' in sys.modules)")
+    src = Path(wiptsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiptsim import mean_rf_received_power, mrt_received_power, path_gain, sample_rician
-from wiptsim.channel_rf import _mean_mrt_norm_sq
+from wiptsim.channel_rf import _CHUNK_ROWS, _mean_mrt_norm_sq
 
 
 def test_sample_rician_deterministic():
@@ -100,3 +103,43 @@ def test_mean_rf_reproducible_bit_for_bit(scenario):
 def test_mean_rf_linear_in_power(scenario):
     one = mean_rf_received_power(scenario, 1.0)
     assert mean_rf_received_power(scenario, 0.25) == 0.25 * one
+
+
+def _per_sample_mean(n_antennas, k_factor, seed, samples):
+    """The ensemble mean as one sample_rician per draw, summed in draw order."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(samples):
+        h = sample_rician(n_antennas, k_factor, rng)
+        total += float(np.real(np.vdot(h, h)))
+    return total / samples
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_antennas=st.integers(1, 32),
+    k_factor=st.one_of(
+        st.sampled_from([0.0, 1.0, 10.0 ** 0.6, 10.0, 1e12]),
+        st.floats(0.0, 1e15, allow_nan=False, allow_infinity=False),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.sampled_from([1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                             2 * _CHUNK_ROWS + 1]),
+)
+def test_chunked_ensemble_equals_per_sample_draws(n_antennas, k_factor, seed, samples):
+    # A compensated or vectorised sum would differ in the last bits on
+    # some keys; chunk boundaries must not show either.
+    chunked = _mean_mrt_norm_sq.__wrapped__(n_antennas, k_factor, seed, samples)
+    assert type(chunked) is float
+    assert chunked.hex() == _per_sample_mean(n_antennas, k_factor, seed, samples).hex()
+
+
+def test_ensemble_memory_bounded_by_chunk():
+    # All 200,000 x 32 draws at once would take about 100 MB of arrays.
+    tracemalloc.start()
+    try:
+        _mean_mrt_norm_sq.__wrapped__(32, 3.0, 5, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

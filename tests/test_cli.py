@@ -1,5 +1,6 @@
 import hashlib
 import os
+import time
 
 import pytest
 
@@ -133,7 +134,8 @@ def test_non_finite_region_exits_1(overflowing_file, tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.toml"]
 
 
-def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monkeypatch):
+def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monkeypatch,
+                                                    capsys):
     out = tmp_path / "b.csv"
     frontier = tmp_path / "b.frontier.csv"
     assert main(["region", default_file, "b", "--grid", "3", "--out", str(out)]) == 0
@@ -150,10 +152,37 @@ def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monk
         yield from rows
 
     monkeypatch.setattr(cli, "_csv_rows", failing_rows)
-    with pytest.raises(OSError, match="disk full"):
-        main(["region", default_file, "b", "--grid", "5", "--out", str(out)])
+    assert main(["region", default_file, "b", "--grid", "5", "--out", str(out)]) == 5
+    assert "disk full" in capsys.readouterr().err
     assert (out.read_bytes(), frontier.read_bytes()) == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_region_unwritable_out_exits_5(default_file, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    out = blocker / "x.csv"
+    assert main(["region", default_file, "rf", "--grid", "3", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "default.toml"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_oversized_ensemble_refused_before_any_draw(tmp_path, capsys):
+    path = tmp_path / "huge.toml"
+    path.write_text("mc_samples = 1000000000\n")
+    start = time.perf_counter()
+    assert main(["region", str(path), "rf", "--grid", "3",
+                 "--out", str(tmp_path / "rf.csv")]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "mc_samples * n_rf_antennas" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.toml"]
 
 
 def test_safety_default_reports_and_fails_on_lighting(default_file, capsys):

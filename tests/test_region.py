@@ -236,3 +236,19 @@ def test_region_csv_golden_bytes(scenario, variant, protocol):
         for pts in (region.points, region.frontier)
     )
     assert digests == _GOLDEN[variant, protocol.value]
+
+
+def test_csv_rows_keep_the_sign_of_zero_controls():
+    # -0.0 == 0.0, so a per-value text cache must not serve one for the other
+    controls = [ProtocolControls(0.0, -0.0, 0.5, 0.5, 0.0),
+                ProtocolControls(-0.0, 0.0, 0.5, -0.0, -0.0),
+                ProtocolControls(0.0, -0.0, 0.5, 0.5, 0.0)]
+    points = [OperatingPoint(1.0 + i, -0.0 if i else 0.0, c, ProtocolId.D)
+              for i, c in enumerate(controls)]
+    lines = list(_csv_rows(ProtocolId.D, points))
+    assert len(lines) == 4
+    for line, p in zip(lines[1:], points):
+        c = p.controls
+        values = (c.alpha_nirl, c.tau_nirl, c.alpha_vl, c.tau_vl, c.rho_rf,
+                  p.rate, p.harvested_power)
+        assert line == "d," + ",".join(format(v, ".8e") for v in values) + "\n"

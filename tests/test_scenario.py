@@ -10,6 +10,7 @@ from wiptsim import (
     parse_scenario,
     render_scenario,
 )
+from wiptsim.scenario import _MAX_ENSEMBLE_ENTRIES
 
 
 def test_default_values(scenario):
@@ -186,3 +187,12 @@ def test_geometries(scenario):
 def test_direct_construction_validates():
     with pytest.raises(ScenarioValidationError):
         Scenario(n_devices=0)
+
+
+def test_ensemble_budget(scenario):
+    # the largest key a parameter study of 16000 samples on 8 antennas uses
+    dataclasses.replace(scenario, mc_samples=16000, n_rf_antennas=8)
+    dataclasses.replace(scenario, mc_samples=_MAX_ENSEMBLE_ENTRIES // 4, n_rf_antennas=4)
+    with pytest.raises(ScenarioValidationError, match="mc_samples \\* n_rf_antennas"):
+        dataclasses.replace(scenario, mc_samples=_MAX_ENSEMBLE_ENTRIES // 4 + 1,
+                            n_rf_antennas=4)
