@@ -18,6 +18,7 @@ from .protocols import (
     PinnedControlError,
     ProtocolControls,
     ProtocolId,
+    SweepBudgetError,
     controls_for,
     enumerate_controls,
     evaluate,

@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 scenario file problem (including model constants
 that make a band's rate or harvest inf or NaN, and a fading ensemble above
-its budget), 2 unknown protocol or bad --grid, 3 degenerate region, 4 safety
-verdict failed, 5 the region's CSV pair could not be written.
+its budget), 2 unknown protocol or bad --grid (below 2, or a grid whose
+control tuples, grid ** free axes, exceed the sweep budget of 2**21 for the
+region's protocol or, for compare, for any protocol; refused before any
+sweep), 3 degenerate region, 4 safety verdict failed, 5 the region's CSV
+pair could not be written.
 """
 
 import argparse
@@ -12,8 +15,8 @@ import sys
 import uuid
 from pathlib import Path
 
-from .region import DegenerateRegionError, dominates, max_energy, max_rate, sweep
-from .protocols import _TABLE, ProtocolId
+from .region import _Points, DegenerateRegionError, dominates, max_energy, max_rate, sweep
+from .protocols import _TABLE, ProtocolId, SweepBudgetError, enumerate_controls
 from .safety import evaluate_safety
 from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
 
@@ -48,15 +51,19 @@ class _ControlText(dict):
 
 
 def _csv_rows(protocol, points):
-    """The CSV lines of a region's points, newline-terminated, header first."""
+    """The CSV lines of a region's points, newline-terminated, header first.
+
+    Reads the column store's rows directly; a sequence of points is
+    stored as columns first.
+    """
     yield CSV_HEADER + "\n"
     prefix = protocol.value + ","
     text = _ControlText()  # a grid has few distinct control levels
-    for p in points:
-        c = p.controls
-        yield (f"{prefix}{text[c.alpha_nirl]},{text[c.tau_nirl]},{text[c.alpha_vl]},"
-               f"{text[c.tau_vl]},{text[c.rho_rf]},"
-               f"{_csv_field(p.rate)},{_csv_field(p.harvested_power)}\n")
+    for rate, harvest, alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf in (
+            _Points.of(points, protocol).rows()):
+        yield (f"{prefix}{text[alpha_nirl]},{text[tau_nirl]},{text[alpha_vl]},"
+               f"{text[tau_vl]},{text[rho_rf]},"
+               f"{_csv_field(rate)},{_csv_field(harvest)}\n")
 
 
 def _write_together(outputs):
@@ -204,6 +211,14 @@ def main(argv=None):
                   f"(expected one of: {', '.join(_PROTOCOLS)})", file=sys.stderr)
             return 2
         out_path = args.out if args.out is not None else f"region_{protocol.value}.csv"
+    # Refuse an oversized grid before any sweep starts; compare checks all
+    # its protocols first, so it never sweeps the ones below the bound.
+    for checked in ((protocol,) if args.command == "region" else ProtocolId):
+        try:
+            enumerate_controls(checked, args.grid)
+        except SweepBudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         if args.command == "region":
             return cmd_region(scenario, protocol, args.grid, out_path)

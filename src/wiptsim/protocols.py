@@ -320,12 +320,48 @@ def evaluate(scenario, protocol, controls):
     return OperatingPoint(rate, harvested, controls, protocol)
 
 
+class SweepBudgetError(ValueError):
+    """A control grid holds more tuples than one sweep may evaluate."""
+
+
+# Control tuples one sweep may evaluate.  A swept point keeps 56 bytes of
+# float64 columns, so the largest admitted region holds about 117 MB; the
+# bound admits grid 128 on three free axes (128**3 == 2**21).
+_MAX_SWEEP_TUPLES = 1 << 21
+
+
+class _Grid:
+    """A protocol's control tuples, built one at a time as they are iterated."""
+
+    __slots__ = ("_axes",)
+
+    def __init__(self, axes):
+        self._axes = axes
+
+    def __len__(self):
+        return math.prod(map(len, self._axes))
+
+    def __iter__(self):
+        return itertools.starmap(ProtocolControls, itertools.product(*self._axes))
+
+
 def enumerate_controls(protocol, grid_points_per_axis):
-    """Uniform [0, 1] Cartesian grid over the protocol's free control axes."""
+    """Uniform [0, 1] Cartesian grid over the protocol's free control axes.
+
+    Returns a sized, re-iterable view of the grid.  Raises
+    SweepBudgetError, before any level is built, when the grid holds more
+    than _MAX_SWEEP_TUPLES tuples.
+    """
     if grid_points_per_axis < 2:
         raise ValueError("grid_points_per_axis must be at least 2")
+    row = _TABLE[protocol]
+    tuples = grid_points_per_axis ** len(row.free)
+    if tuples > _MAX_SWEEP_TUPLES:
+        raise SweepBudgetError(
+            f"protocol {protocol.value} at grid {grid_points_per_axis} has {tuples:,} "
+            f"control tuples; a sweep may evaluate at most {_MAX_SWEEP_TUPLES:,}"
+        )
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
     # A pinned axis is a one-level axis, so the product runs over the free
     # axes in the same order and yields full positional control tuples.
-    axes = [levels if value is _SWEPT else (value,) for value in _TABLE[protocol].controls]
-    return list(itertools.starmap(ProtocolControls, itertools.product(*axes)))
+    return _Grid([levels if value is _SWEPT else (value,) for value in row.controls])

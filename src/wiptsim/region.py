@@ -1,10 +1,92 @@
 """Rate-energy regions: exhaustive sweeps, Pareto frontiers, dominance."""
 
-import math
+from array import array
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .protocols import InfeasibleControlsError, OperatingPoint, ProtocolId, enumerate_controls, evaluate
+import numpy as np
+
+from .protocols import (
+    InfeasibleControlsError,
+    OperatingPoint,
+    ProtocolControls,
+    ProtocolId,
+    enumerate_controls,
+    evaluate,
+)
+
+_RATE, _HARVEST = 0, 1  # column indices; the five controls follow in field order
+
+
+class _Points:
+    """A protocol's operating points, kept as seven float64 columns.
+
+    The columns hold the rate, the harvested power and the five controls
+    in field order, 56 bytes a point.  ``OperatingPoint``s are built only
+    when the store is indexed or iterated, so a swept point's objects die
+    as soon as it is appended.
+    """
+
+    __slots__ = ("protocol", "columns")
+
+    def __init__(self, protocol, columns=None):
+        self.protocol = protocol
+        self.columns = columns if columns is not None else tuple(array("d") for _ in range(7))
+
+    @classmethod
+    def of(cls, points, protocol):
+        """``points`` itself when it is a store, else a store holding its points."""
+        if isinstance(points, cls):
+            return points
+        store = cls(protocol)
+        for point in points:
+            store.append(point)
+        return store
+
+    def append(self, point):
+        rate, harvest, alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf = self.columns
+        controls = point.controls
+        rate.append(point.rate)
+        harvest.append(point.harvested_power)
+        alpha_nirl.append(controls.alpha_nirl)
+        tau_nirl.append(controls.tau_nirl)
+        alpha_vl.append(controls.alpha_vl)
+        tau_vl.append(controls.tau_vl)
+        rho_rf.append(controls.rho_rf)
+
+    def rows(self):
+        """(rate, harvested power, five controls) float tuples, in order."""
+        return zip(*self.columns)
+
+    def column(self, k):
+        """Column k as a float64 ndarray sharing the store's memory."""
+        return np.frombuffer(self.columns[k], dtype=np.float64)
+
+    def take(self, index):
+        """A new store of the points at the given indices, in that order."""
+        taken = tuple(array("d") for _ in self.columns)
+        for k, out in enumerate(taken):
+            out.frombytes(self.column(k)[index].tobytes())
+        return _Points(self.protocol, taken)
+
+    def _point(self, row):
+        rate, harvest, *controls = row
+        return OperatingPoint(rate, harvest, ProtocolControls(*controls), self.protocol)
+
+    def __len__(self):
+        return len(self.columns[_RATE])
+
+    def __iter__(self):
+        return map(self._point, self.rows())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._point(column[i] for column in self.columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Points):
+            return NotImplemented
+        return self.protocol == other.protocol and self.columns == other.columns
 
 
 class DegenerateRegionError(RuntimeError):
@@ -15,19 +97,24 @@ class DegenerateRegionError(RuntimeError):
 class RateEnergyRegion:
     """Swept operating points plus their Pareto-maximal frontier.
 
-    The frontier is sorted by ascending rate, which makes its harvested
-    power strictly decreasing.
+    Both are column stores (any sequence of points passed in is stored as
+    one).  The frontier is sorted by ascending rate, which makes its
+    harvested power strictly decreasing.
     """
 
-    points: tuple
-    frontier: tuple
+    points: _Points
+    frontier: _Points
     protocol: ProtocolId
     grid_points_per_axis: int
+
+    def __post_init__(self):
+        for name in ("points", "frontier"):
+            object.__setattr__(self, name, _Points.of(getattr(self, name), self.protocol))
 
 
 def sweep(scenario, protocol, grid_points_per_axis):
     """Evaluate the full control grid; infeasible tuples are skipped."""
-    points = []
+    points = _Points(protocol)
     for controls in enumerate_controls(protocol, grid_points_per_axis):
         try:
             points.append(evaluate(scenario, protocol, controls))
@@ -38,11 +125,25 @@ def sweep(scenario, protocol, grid_points_per_axis):
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
     return RateEnergyRegion(
-        points=tuple(points),
-        frontier=tuple(pareto(points)),
+        points=points,
+        frontier=pareto(points),
         protocol=protocol,
         grid_points_per_axis=grid_points_per_axis,
     )
+
+
+def _frontier(rate, harvest):
+    """Indices of the Pareto-maximal points, by ascending rate (see pareto)."""
+    # Rate falling, then harvest falling; lexsort is stable, so among equal
+    # (rate, harvest) keys the first in input order comes first.  A point is
+    # kept when its harvest beats every point sorted before it (Kung,
+    # Luccio & Preparata, J. ACM 22(4), 1975).
+    order = np.lexsort((-harvest, -rate))
+    sorted_harvest = harvest[order]
+    best_before = np.empty_like(sorted_harvest)
+    best_before[:1] = -np.inf
+    np.maximum.accumulate(sorted_harvest[:-1], out=best_before[1:])
+    return order[sorted_harvest > best_before][::-1]
 
 
 def pareto(points):
@@ -50,41 +151,44 @@ def pareto(points):
 
     A point is dropped when another point is at least as good in both
     coordinates and strictly better in one; exact duplicates collapse to
-    their first occurrence in input order.
+    their first occurrence in input order.  A column store gives a store;
+    any other sequence gives a list of its own point objects.
     """
-    # A stable sort keeps input order among equal (rate, harvest) keys, so
-    # the first of a run of duplicates is the one kept.
-    order = sorted(points, key=attrgetter("rate", "harvested_power"), reverse=True)
-    kept = []
-    best_harvest = -math.inf
-    for point in order:
-        if point.harvested_power > best_harvest:
-            kept.append(point)
-            best_harvest = point.harvested_power
-    kept.reverse()
-    return kept
+    if isinstance(points, _Points):
+        return points.take(_frontier(points.column(_RATE), points.column(_HARVEST)))
+    points = list(points)
+    rate = np.fromiter((p.rate for p in points), np.float64, len(points))
+    harvest = np.fromiter((p.harvested_power for p in points), np.float64, len(points))
+    return [points[i] for i in _frontier(rate, harvest)]
+
+
+def _column_max(region, k):
+    if not region.points:
+        raise DegenerateRegionError("region holds no points")
+    return float(region.points.column(k).max())
 
 
 def max_rate(region):
     """Largest rate over the region's points."""
-    if not region.points:
-        raise DegenerateRegionError("region holds no points")
-    return max(p.rate for p in region.points)
+    return _column_max(region, _RATE)
 
 
 def max_energy(region):
     """Largest harvested power over the region's points."""
-    if not region.points:
-        raise DegenerateRegionError("region holds no points")
-    return max(p.harvested_power for p in region.points)
+    return _column_max(region, _HARVEST)
 
 
 def dominates(a, b):
-    """True when every frontier point of b is weakly dominated by a's frontier."""
-    return all(
-        any(
-            p.rate >= q.rate and p.harvested_power >= q.harvested_power
-            for p in a.frontier
-        )
-        for q in b.frontier
-    )
+    """True when every frontier point of b is weakly dominated by a's frontier.
+
+    One merge: a's frontier rises in rate, so the points of a at least as
+    fast as a point q of b form a suffix, and q is dominated when the best
+    harvest of that suffix reaches q's.
+    """
+    a_rate, a_harvest = a.frontier.column(_RATE), a.frontier.column(_HARVEST)
+    b_rate, b_harvest = b.frontier.column(_RATE), b.frontier.column(_HARVEST)
+    first = np.searchsorted(a_rate, b_rate)  # first point of a with rate >= q's
+    if np.any(first == len(a_rate)):
+        return False
+    best_after = np.maximum.accumulate(a_harvest[::-1])[::-1]
+    return bool(np.all(best_after[first] >= b_harvest))

@@ -179,23 +179,31 @@ _ANGLE_FIELDS = (
 )
 _SEMI_ANGLE_FIELDS = ("vl_semi_angle", "nirl_semi_angle")
 _UNIT_INTERVAL_FIELDS = ("pd_responsivity", "pd_fill_factor")
-# Fading-ensemble budget in channel entries, checked before any draw.  A
-# build costs 1-2 us per fading vector, so the worst case (one antenna)
-# takes 10-20 s on a 2-vCPU host.
-_MAX_ENSEMBLE_ENTRIES = 10_000_000
+# Fading-ensemble budget, checked before any draw.  A build costs about
+# 37 ns per channel entry plus 0.8 us per fading vector (one vdot and one
+# add), i.e. as much as _ENSEMBLE_VECTOR_ENTRIES entries (fitted over 1-128
+# antennas on a 2-vCPU host).  Bounding entries plus that per-vector share
+# makes the largest admitted ensemble take about 2 s at any antenna count.
+_ENSEMBLE_VECTOR_ENTRIES = 22
+_MAX_ENSEMBLE_COST = 50_000_000
+# Antennas per fading vector; bounds one 512-vector draw chunk to 16 MB.
+_MAX_RF_ANTENNAS = 1024
 
 
 def _validate(s):
-    if s.n_rf_antennas < 1:
-        raise ScenarioValidationError("n_rf_antennas must be at least 1")
+    if not 1 <= s.n_rf_antennas <= _MAX_RF_ANTENNAS:
+        raise ScenarioValidationError(
+            f"n_rf_antennas must lie in [1, {_MAX_RF_ANTENNAS}], got {s.n_rf_antennas}"
+        )
     if s.n_devices < 1:
         raise ScenarioValidationError("n_devices must be at least 1")
     if s.mc_samples < 1:
         raise ScenarioValidationError("mc_samples must be at least 1")
-    if s.mc_samples * s.n_rf_antennas > _MAX_ENSEMBLE_ENTRIES:
+    if s.mc_samples * (s.n_rf_antennas + _ENSEMBLE_VECTOR_ENTRIES) > _MAX_ENSEMBLE_COST:
         raise ScenarioValidationError(
-            f"mc_samples * n_rf_antennas must be at most {_MAX_ENSEMBLE_ENTRIES:,}, "
-            f"got {s.mc_samples:,} * {s.n_rf_antennas:,}"
+            f"mc_samples * n_rf_antennas + {_ENSEMBLE_VECTOR_ENTRIES} * mc_samples must be "
+            f"at most {_MAX_ENSEMBLE_COST:,}, got {s.mc_samples:,} * "
+            f"({s.n_rf_antennas:,} + {_ENSEMBLE_VECTOR_ENTRIES})"
         )
     if s.rng_seed < 0:
         raise ScenarioValidationError("rng_seed must be nonnegative")

@@ -1,6 +1,10 @@
 import hashlib
 import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,28 @@ def test_oversized_ensemble_refused_before_any_draw(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "mc_samples * n_rf_antennas" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.toml"]
+
+
+def _limit_memory():
+    # a regression that starts the sweep dies of MemoryError, not the host
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", [["region", "d", "--out", "d.csv"], ["compare"]],
+                         ids=["region", "compare"])
+def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command):
+    # grid 1001 on three free axes would be 10**9 control tuples
+    argv = [command[0], default_file, *command[1:], "--grid", "1001"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "wiptsim.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: protocol ") and proc.stderr.count("\n") == 1
+    assert "1,003,003,001 control tuples" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
 
 
 def test_safety_default_reports_and_fails_on_lighting(default_file, capsys):

@@ -10,6 +10,7 @@ from wiptsim import (
     ProtocolControls,
     ProtocolId,
     ScenarioValidationError,
+    SweepBudgetError,
     controls_for,
     enumerate_controls,
     evaluate,
@@ -23,7 +24,7 @@ from wiptsim import (
 )
 from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
-from wiptsim.protocols import _TABLE, _link_gains
+from wiptsim.protocols import _MAX_SWEEP_TUPLES, _TABLE, _link_gains
 
 
 def test_free_controls_map():
@@ -220,6 +221,25 @@ def test_enumerate_endpoints_and_pins():
 def test_enumerate_grid_too_small():
     with pytest.raises(ValueError):
         enumerate_controls(ProtocolId.A, 1)
+
+
+def test_enumerate_is_lazy_and_sized():
+    grid = enumerate_controls(ProtocolId.D, 101)
+    assert len(grid) == 101 ** 3
+    assert not isinstance(grid, (list, tuple))
+    small = enumerate_controls(ProtocolId.C, 3)
+    assert list(small) == list(small)  # iterable more than once
+    assert len(list(small)) == len(small) == 27
+
+
+def test_sweep_budget_admits_grid_101_and_refuses_above_bound():
+    for protocol in ProtocolId:
+        assert len(enumerate_controls(protocol, 101)) <= _MAX_SWEEP_TUPLES
+    assert len(enumerate_controls(ProtocolId.D, 128)) == _MAX_SWEEP_TUPLES
+    with pytest.raises(SweepBudgetError, match="protocol d at grid 129"):
+        enumerate_controls(ProtocolId.D, 129)
+    with pytest.raises(SweepBudgetError):
+        sweep(None, ProtocolId.RF_ONLY, _MAX_SWEEP_TUPLES + 1)
 
 
 def _readme_protocol_rows():

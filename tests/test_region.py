@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiptsim import (
     DegenerateRegionError,
@@ -252,3 +255,99 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
         values = (c.alpha_nirl, c.tau_nirl, c.alpha_vl, c.tau_vl, c.rho_rf,
                   p.rate, p.harvested_power)
         assert line == "d," + ",".join(format(v, ".8e") for v in values) + "\n"
+
+
+def _hex(point):
+    c = point.controls
+    return tuple(v.hex() for v in (point.rate, point.harvested_power, c.alpha_nirl,
+                                   c.tau_nirl, c.alpha_vl, c.tau_vl, c.rho_rf))
+
+
+# Every float the store must keep bit for bit: signed zeros, subnormals and
+# the largest finite doubles, besides ordinary values.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308]
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_UNIT_FLOAT = (st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1.0])
+               | st.floats(0.0, 1e-300))
+
+
+@st.composite
+def _points(draw, values=_ANY_FLOAT, max_size=40):
+    rows = draw(st.lists(st.tuples(values, values, *[_UNIT_FLOAT] * 5),
+                         min_size=1, max_size=max_size))
+    return [OperatingPoint(rate, harvest, ProtocolControls(*controls), ProtocolId.D)
+            for rate, harvest, *controls in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points())
+def test_store_round_trips_bit_for_bit(points):
+    store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
+    assert len(store) == len(points)
+    want = [_hex(p) for p in points]
+    assert [_hex(p) for p in store] == want
+    assert [_hex(store[i]) for i in range(-len(points), len(points))] == want * 2
+    assert [_hex(p) for p in store[1::2]] == want[1::2]
+    assert [tuple(v.hex() for v in row) for row in store.rows()] == want
+    assert store == RateEnergyRegion(list(store), (), ProtocolId.D, 2).points
+    assert "".join(_csv_rows(ProtocolId.D, store)) == "".join(_csv_rows(ProtocolId.D, points))
+
+
+# A handful of values makes ties in rate, in harvest and exact duplicates
+# (including 0.0 against -0.0) common.
+_TIED = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0, 1e308])
+
+
+def _indexed(points):
+    """The same points with distinct controls, so kept duplicates are told apart."""
+    n = len(points)
+    return [OperatingPoint(p.rate, p.harvested_power,
+                           ProtocolControls(i / n, 0.0, 0.0, 0.0, 0.0), ProtocolId.D)
+            for i, p in enumerate(points)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points(_TIED, max_size=60) | _points(max_size=60))
+def test_pareto_equals_brute_force_on_lists_and_columns(points):
+    points = _indexed(points)
+    slow = brute_force_frontier(points)
+    fast = pareto(points)
+    assert len(fast) == len(slow) and all(a is b for a, b in zip(fast, slow))
+    columns = pareto(RateEnergyRegion(points, (), ProtocolId.D, 2).points)
+    assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
+
+
+def _dominates_oracle(a, b):
+    """The pairwise test: each point of b's frontier under some point of a's."""
+    return all(any(p.rate >= q.rate and p.harvested_power >= q.harvested_power
+                   for p in a.frontier) for q in b.frontier)
+
+
+def _region(points):
+    return RateEnergyRegion(points, pareto(points), ProtocolId.D, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points(_TIED, max_size=30), _points(_TIED, max_size=30), st.booleans())
+def test_dominates_equals_pairwise_oracle(a_points, b_points, nested):
+    if nested:  # b drawn from a's points, so a dominates b and the merge must say so
+        b_points = a_points[::2] + b_points[:1]
+    a, b = _region(a_points), _region(b_points)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert dominates(x, y) is _dominates_oracle(x, y)
+
+
+def test_sweep_memory_per_point(scenario):
+    # The columns take 56 bytes a point; the frontier's sort keys and order
+    # add about 30 more at the peak.  Point objects kept alive cost ~290.
+    sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        region = sweep(scenario, ProtocolId.D, 41)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(region.points) == 41 ** 3
+    assert peak / len(region.points) < 120

@@ -10,7 +10,7 @@ from wiptsim import (
     parse_scenario,
     render_scenario,
 )
-from wiptsim.scenario import _MAX_ENSEMBLE_ENTRIES
+from wiptsim.scenario import _ENSEMBLE_VECTOR_ENTRIES, _MAX_ENSEMBLE_COST, _MAX_RF_ANTENNAS
 
 
 def test_default_values(scenario):
@@ -192,7 +192,14 @@ def test_direct_construction_validates():
 def test_ensemble_budget(scenario):
     # the largest key a parameter study of 16000 samples on 8 antennas uses
     dataclasses.replace(scenario, mc_samples=16000, n_rf_antennas=8)
-    dataclasses.replace(scenario, mc_samples=_MAX_ENSEMBLE_ENTRIES // 4, n_rf_antennas=4)
+    # the budget counts each fading vector as _ENSEMBLE_VECTOR_ENTRIES entries
+    for antennas in (1, 4, _MAX_RF_ANTENNAS):
+        most = _MAX_ENSEMBLE_COST // (antennas + _ENSEMBLE_VECTOR_ENTRIES)
+        dataclasses.replace(scenario, mc_samples=most, n_rf_antennas=antennas)
+        with pytest.raises(ScenarioValidationError, match="mc_samples \\* n_rf_antennas"):
+            dataclasses.replace(scenario, mc_samples=most + 1, n_rf_antennas=antennas)
+    # ten million one-antenna vectors (about 10-20 s to draw) are refused
     with pytest.raises(ScenarioValidationError, match="mc_samples \\* n_rf_antennas"):
-        dataclasses.replace(scenario, mc_samples=_MAX_ENSEMBLE_ENTRIES // 4 + 1,
-                            n_rf_antennas=4)
+        dataclasses.replace(scenario, mc_samples=10_000_000, n_rf_antennas=1)
+    with pytest.raises(ScenarioValidationError, match="n_rf_antennas must lie in"):
+        dataclasses.replace(scenario, mc_samples=1, n_rf_antennas=_MAX_RF_ANTENNAS + 1)
