@@ -1,12 +1,13 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
 Exit codes: 0 success, 1 scenario file problem (including model constants
-that make a band's rate or harvest inf or NaN, and a fading ensemble above
-its budget), 2 unknown protocol or bad --grid (below 2, or a grid whose
-control tuples, grid ** free axes, exceed the sweep budget of 2**21 for the
-region's protocol or, for compare, for any protocol; refused before any
-sweep), 3 degenerate region, 4 safety verdict failed, 5 the region's CSV
-pair could not be written.
+that make a band's rate or harvest, or their sum over the bands, inf or
+NaN, and a fading ensemble above its budget), 2 unknown protocol, bad
+--grid (below 2, or a grid whose control tuples, grid ** free axes, exceed
+the sweep budget of 2**21 for the region's protocol or, for compare, for
+any protocol) or an --out that names no file (such as "" or "."), each
+refused before any sweep, 3 degenerate region, 4 safety verdict failed,
+5 the region's CSV pair could not be written.
 """
 
 import argparse
@@ -211,6 +212,9 @@ def main(argv=None):
                   f"(expected one of: {', '.join(_PROTOCOLS)})", file=sys.stderr)
             return 2
         out_path = args.out if args.out is not None else f"region_{protocol.value}.csv"
+        if not Path(out_path).name:  # e.g. "" or "."; the frontier name derives from it
+            print(f"error: --out must name a file, got '{out_path}'", file=sys.stderr)
+            return 2
     # Refuse an oversized grid before any sweep starts; compare checks all
     # its protocols first, so it never sweeps the ones below the bound.
     for checked in ((protocol,) if args.command == "region" else ProtocolId):
@@ -227,7 +231,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ScenarioValidationError as exc:
-        # a band's rate or harvest came out inf or NaN
+        # a band's rate or harvest, or their sum over the bands, came out inf or NaN
         print(f"error: invalid scenario '{args.scenario}': {exc}", file=sys.stderr)
         return 1
 

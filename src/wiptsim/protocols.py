@@ -289,7 +289,8 @@ def evaluate(scenario, protocol, controls):
 
     Raises PinnedControlError when a pinned control deviates,
     InfeasibleControlsError for protocol c illuminance violations and
-    ScenarioValidationError when a band term comes out inf or NaN.
+    ScenarioValidationError when a band term, or the sum of the bands,
+    comes out inf or NaN.
     """
     row = _TABLE[protocol]
     if row.pinned(controls) != row.pin_values:
@@ -317,6 +318,12 @@ def evaluate(scenario, protocol, controls):
         rate += r
         harvested += e
 
+    # finite band terms can still overflow when added
+    if not (math.isfinite(rate) and math.isfinite(harvested)):
+        raise ScenarioValidationError(
+            f"the summed band terms are non-finite: (rate, harvested power) = "
+            f"({rate}, {harvested}); the scenario's model constants are out of range"
+        )
     return OperatingPoint(rate, harvested, controls, protocol)
 
 

@@ -210,6 +210,11 @@ def _validate(s):
     if not (math.isfinite(s.rician_k) and s.rician_k >= 0.0):
         raise ScenarioValidationError("rician_k must be finite and nonnegative")
     _require_positive(s, _POSITIVE_FIELDS)
+    if s.rf_distance < 1.0:
+        raise ScenarioValidationError(
+            f"rf_distance must be at least 1 m, the path-loss reference distance, "
+            f"got {s.rf_distance}"
+        )
     for name in _ANGLE_FIELDS:
         value = getattr(s, name)
         if not 0.0 <= value < 90.0:
@@ -237,7 +242,6 @@ def default_scenario():
     return Scenario()
 
 
-# key -> (sub-model attribute or None, field name, parser)
 def _bool(text):
     lowered = text.lower()
     if lowered in ("true", "false"):
@@ -245,23 +249,30 @@ def _bool(text):
     raise ValueError(f"expected true or false, got '{text}'")
 
 
-def _key_table():
-    table = {}
-    for f in dataclasses.fields(Scenario):
-        if f.name in ("eh_rf", "eh_optical", "safety"):
-            continue
-        parser = int if f.type in (int, "int") else float
-        table[f.name] = (None, f.name, parser)
-    for model, cls in (("eh_rf", EhRfModel), ("eh_optical", EhOpticalModel)):
-        for f in dataclasses.fields(cls):
-            table[f.name] = (model, f.name, float)
-    for f in dataclasses.fields(SafetyLimits):
-        parser = _bool if f.type in (bool, "bool") else float
-        table[f.name] = ("safety", f.name, parser)
-    return table
+def _flat(obj):
+    """obj's (field, value) pairs in file order, each sub-model expanded in place."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(f.type):
+            yield from _flat(value)
+        else:
+            yield f, value
 
 
-_KEYS = _key_table()
+def _build(cls, values):
+    """Build cls from an iterator over its flat values in file order.
+
+    Each sub-model is built, and so validated, before the object that
+    holds it.
+    """
+    return cls(*(_build(f.type, values) if dataclasses.is_dataclass(f.type) else next(values)
+                 for f in dataclasses.fields(cls)))
+
+
+_PARSE_AS = {int: int, float: float, bool: _bool}
+# key -> parser of its declared type, and key -> default value, in file order
+_PARSERS = {f.name: _PARSE_AS[f.type] for f, _ in _flat(default_scenario())}
+_DEFAULTS = {f.name: value for f, value in _flat(default_scenario())}
 
 
 def parse_scenario(text):
@@ -276,32 +287,16 @@ def parse_scenario(text):
             raise ScenarioParseError("expected 'key = value'", lineno)
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _PARSERS:
             raise ScenarioParseError(f"unknown key '{key}'", lineno)
         if key in overrides:
             raise ScenarioParseError(f"duplicate key '{key}'", lineno)
-        model, name, parser = _KEYS[key]
         try:
-            overrides[key] = (model, name, parser(value))
+            overrides[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ScenarioParseError(f"bad value for '{key}': {exc}", lineno) from None
-
-    top = {}
-    nested = {"eh_rf": {}, "eh_optical": {}, "safety": {}}
-    for model, name, value in overrides.values():
-        if model is None:
-            top[name] = value
-        else:
-            nested[model][name] = value
-
-    base = default_scenario()
-    if nested["eh_rf"]:
-        top["eh_rf"] = dataclasses.replace(base.eh_rf, **nested["eh_rf"])
-    if nested["eh_optical"]:
-        top["eh_optical"] = dataclasses.replace(base.eh_optical, **nested["eh_optical"])
-    if nested["safety"]:
-        top["safety"] = dataclasses.replace(base.safety, **nested["safety"])
-    return dataclasses.replace(base, **top)
+    # dict | keeps the defaults' file order, which _build consumes
+    return _build(Scenario, iter((_DEFAULTS | overrides).values()))
 
 
 def _format_value(value):
@@ -314,12 +309,4 @@ def _format_value(value):
 
 def render_scenario(scenario):
     """Render a scenario to file format; parse_scenario round-trips it exactly."""
-    lines = []
-    for f in dataclasses.fields(Scenario):
-        value = getattr(scenario, f.name)
-        if f.name in ("eh_rf", "eh_optical", "safety"):
-            for sub in dataclasses.fields(value):
-                lines.append(f"{sub.name} = {_format_value(getattr(value, sub.name))}")
-        else:
-            lines.append(f"{f.name} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {_format_value(value)}\n" for f, value in _flat(scenario))

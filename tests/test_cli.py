@@ -138,6 +138,47 @@ def test_non_finite_region_exits_1(overflowing_file, tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.toml"]
 
 
+@pytest.mark.parametrize("argv", [["region", "d", "--grid", "3"], ["compare", "--grid", "3"]])
+def test_band_sum_overflow_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # every band term is finite, but their sum overflows to inf
+    path = tmp_path / "overflow.toml"
+    path.write_text("optical_bandwidth = 5e306\nrf_bandwidth = 5e306\n")
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    assert main([command, str(path), *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "band" in captured.err and "non-finite" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.toml"]
+
+
+def test_rf_distance_below_reference_exits_1(tmp_path, capsys):
+    path = tmp_path / "near.toml"
+    path.write_text("rf_distance = 0.5\n")
+    assert main(["compare", str(path), "--grid", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "rf_distance must be at least 1 m" in captured.err
+
+
+@pytest.mark.parametrize("out", ["", "."])
+def test_region_out_without_file_name_exits_2(default_file, tmp_path, monkeypatch, capsys,
+                                              out):
+    def no_sweep(*args):
+        raise AssertionError("swept before refusing --out")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    assert main(["region", default_file, "rf", "--grid", "3", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out must name a file, got '{out}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
+
+
 def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monkeypatch,
                                                     capsys):
     out = tmp_path / "b.csv"

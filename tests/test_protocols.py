@@ -2,8 +2,11 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wiptsim import (
+    EhRfModel,
     EhOpticalModel,
     InfeasibleControlsError,
     PinnedControlError,
@@ -342,3 +345,45 @@ def test_scenario_caches_stay_bounded(scenario):
         sweep(s, ProtocolId.VL_ONLY, 2)
     assert lambertian_order.cache_info().currsize == semi_bound
     assert _mean_mrt_norm_sq.cache_info().currsize == ensemble_bound
+
+
+_RF_PROTOCOLS = [p for p in ProtocolId if "rho_rf" in free_controls(p)]
+
+
+@settings(max_examples=25, deadline=None)
+@example(lux_gated=False, grid=11, rf={})  # the default scenario
+@given(
+    lux_gated=st.booleans(),
+    grid=st.integers(3, 7),
+    rf=st.fixed_dictionaries({
+        "rf_total_tx_power": st.floats(1e-4, 10.0),
+        "rf_wpt_tx_power": st.floats(1e-4, 10.0),
+        "rf_distance": st.floats(1.0, 30.0),
+        "pathloss_exponent": st.floats(1.5, 4.0),
+        "rician_k": st.floats(0.0, 100.0),
+        "rf_noise_power": st.floats(1e-15, 1e-9),
+        "n_rf_antennas": st.integers(1, 8),
+        "mc_samples": st.integers(1, 300),
+        "rng_seed": st.integers(0, 2**32),
+        "eh_rf": st.builds(EhRfModel, p_sat=st.floats(1e-4, 1.0), a=st.floats(1.0, 1e4),
+                           b=st.floats(1e-4, 1.0)),
+    }),
+)
+def test_rho_rf_lines_harvest_more_and_decode_less(scenario, lux_gated_scenario, lux_gated,
+                                                   grid, rf):
+    base = lux_gated_scenario if lux_gated else scenario
+    varied = dataclasses.replace(base, **rf)
+    for protocol in _RF_PROTOCOLS:
+        # rho_rf is the last control, so it varies fastest: consecutive
+        # points with the same other controls form one rho_rf line
+        lines = {}
+        for point in sweep(varied, protocol, grid).points:
+            c = point.controls
+            lines.setdefault((c.alpha_nirl, c.tau_nirl, c.alpha_vl, c.tau_vl), []).append(
+                (c.rho_rf, point.rate, point.harvested_power))
+        for line in lines.values():
+            assert len(line) == grid
+            for (rho0, rate0, harvest0), (rho1, rate1, harvest1) in zip(line, line[1:]):
+                assert rho0 < rho1
+                assert harvest1 >= harvest0, (protocol, rho0, rho1)
+                assert rate1 <= rate0, (protocol, rho0, rho1)

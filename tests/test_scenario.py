@@ -1,8 +1,14 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiptsim import (
+    EhOpticalModel,
+    EhRfModel,
+    SafetyLimits,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
@@ -131,6 +137,7 @@ def test_validation_names_field():
         ("dark_saturation_current = inf", "eh_optical.dark_saturation_current"),
         ("sar_power_budget = inf", "safety.sar_power_budget"),
         ("illuminance_min = 2000", "illuminance_min"),
+        ("rf_distance = 0.5", "rf_distance must be at least 1 m"),
     ],
 )
 def test_invariant_violations(line, field):
@@ -169,6 +176,94 @@ def test_round_trip_randomized(scenario):
             rng_seed=rng.randint(0, 2**31),
         )
         assert parse_scenario(render_scenario(modified)) == modified
+
+
+# Each key's values within its valid range; floats include subnormals, the
+# largest double, -0.0 where zero is allowed, and the bounds themselves.
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+_ANGLE = st.floats(min_value=0.0, max_value=90.0, exclude_max=True) | st.just(-0.0)
+_SEMI_ANGLE = st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_KEY_VALUES = {
+    "n_rf_antennas": st.integers(1, _MAX_RF_ANTENNAS),
+    "rf_total_tx_power": _POSITIVE,
+    "rf_wpt_tx_power": _POSITIVE,
+    "rician_k": _NONNEGATIVE,
+    "pathloss_exponent": _POSITIVE,
+    "rf_noise_power": _POSITIVE,
+    "rf_bandwidth": _POSITIVE,
+    "rf_distance": st.floats(min_value=1.0, allow_infinity=False),
+    "optical_distance": _POSITIVE,
+    "vl_bulb_power": _POSITIVE,
+    "vl_semi_angle": _SEMI_ANGLE,
+    "nirl_bulb_power": _POSITIVE,
+    "nirl_semi_angle": _SEMI_ANGLE,
+    "n_devices": st.integers(min_value=1, max_value=10**30),
+    "incidence_angle_vl": _ANGLE,
+    "irradiance_angle_vl": _ANGLE,
+    "incidence_angle_nirl": _ANGLE,
+    "irradiance_angle_nirl": _ANGLE,
+    "pd_area": _POSITIVE,
+    "pd_responsivity": _UNIT,
+    "pd_fill_factor": _UNIT,
+    "optical_noise_power": _POSITIVE,
+    "optical_filter_gain": _POSITIVE,
+    "optical_bandwidth": _POSITIVE,
+    "p_sat": _POSITIVE,
+    "a": _POSITIVE,
+    "b": _POSITIVE,
+    "thermal_voltage": _POSITIVE,
+    "dark_saturation_current": _POSITIVE,
+    "sar_power_budget": _POSITIVE,
+    "sar_window": _POSITIVE,
+    "nirl_irradiance_limit": _POSITIVE,
+    "nirl_beam_avoids_body": st.booleans(),
+    "luminous_efficacy": _POSITIVE,
+    "vl_dim_fraction": st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                 exclude_max=True),
+    # the ensemble budget holds for any antenna count up to the cap
+    "mc_samples": st.integers(1, _MAX_ENSEMBLE_COST // (_MAX_RF_ANTENNAS
+                                                         + _ENSEMBLE_VECTOR_ENTRIES)),
+    "rng_seed": st.integers(min_value=0, max_value=2**128),
+}
+# illuminance_min < illuminance_max: two distinct finite values, sorted
+_ILLUMINANCE = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def _valid_scenarios(draw):
+    values = draw(st.fixed_dictionaries(_KEY_VALUES))
+    values["illuminance_min"], values["illuminance_max"] = draw(_ILLUMINANCE)
+    sub_models = {name: cls(**{f.name: values.pop(f.name) for f in dataclasses.fields(cls)})
+                  for name, cls in (("eh_rf", EhRfModel), ("eh_optical", EhOpticalModel),
+                                    ("safety", SafetyLimits))}
+    return Scenario(**values, **sub_models)
+
+
+def test_round_trip_strategy_covers_every_key(scenario):
+    keys = [line.split(" = ")[0] for line in render_scenario(scenario).splitlines()]
+    assert sorted(keys) == sorted([*_KEY_VALUES, "illuminance_min", "illuminance_max"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_scenarios())
+def test_random_valid_scenarios_round_trip(random_scenario):
+    text = render_scenario(random_scenario)
+    parsed = parse_scenario(text)
+    assert parsed == random_scenario
+    # text equality also tells -0.0 from 0.0, and an int or bool from a float
+    assert render_scenario(parsed) == text
+
+
+def test_default_file_matches_the_code(scenario):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "default.toml"
+    text = path.read_text(encoding="utf-8")
+    assert parse_scenario(text) == scenario
+    key_lines = [line for line in text.splitlines()
+                 if line.strip() and not line.lstrip().startswith("#")]
+    assert key_lines == render_scenario(scenario).splitlines()
 
 
 def test_scenario_is_hashable(scenario):
