@@ -7,7 +7,6 @@ from .channel_optical import (
     illuminance_at,
     irradiance_at,
     lambertian_order,
-    received_optical_power,
 )
 from .channel_rf import mean_rf_received_power, mrt_received_power, path_gain, sample_rician
 from .harvest import optical_harvest, rf_harvest

@@ -2,13 +2,13 @@
 
 Both downlinks are modelled as generalized Lambertian point sources:
 
-    H = (m + 1) * A / (2 pi d^2) * cos^m(phi) * T * g * cos(psi)
+    H = (m + 1) * A / (2 pi d^2) * cos^m(phi) * T * cos(psi)
 
 where m is the Lambertian order of the source, A the photodetector area,
 d the link distance, phi the irradiance angle at the source, psi the
-incidence angle at the detector, T the optical filter gain and g the
-concentrator gain.  All angles are in degrees.  Reflections are ignored;
-only the direct path is modelled.
+incidence angle at the detector and T the optical filter gain.  All
+angles are in degrees.  Reflections are ignored; only the direct path is
+modelled.
 
 The same per-watt flux density kernel also yields the radiometric
 irradiance (W/m^2) and, scaled by the luminous efficacy, the photometric
@@ -23,6 +23,16 @@ from functools import lru_cache
 # Receiver field of view. Incidence at or beyond this angle contributes no
 # signal; there is no concentrator so the gain inside the FoV is flat.
 RECEIVER_FOV = 90.0
+
+# Semi-angles (degrees) of the wide-beam bulbs the Lambertian model describes
+SEMI_ANGLE_DOMAIN = (1.0, 89.0)
+
+
+def check_semi_angle(name, value, error=ValueError):
+    """Raise error, naming the value, when it lies outside SEMI_ANGLE_DOMAIN."""
+    low, high = SEMI_ANGLE_DOMAIN
+    if not low <= value <= high:
+        raise error(f"{name} must lie in [{low:g}, {high:g}] degrees, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,73 +52,54 @@ class OpticalGeometry:
             # 90 deg is allowed: grazing incidence simply kills the link.
             if not 0.0 <= angle <= 90.0:
                 raise ValueError(f"{name} must lie in [0, 90] degrees, got {angle}")
-        if not 0.0 < self.semi_angle < 90.0:
-            raise ValueError(
-                f"semi_angle must lie in (0, 90) degrees, got {self.semi_angle}"
-            )
-
-
-def _cos_deg(angle):
-    return math.cos(math.radians(angle))
+        check_semi_angle("semi_angle", self.semi_angle)
 
 
 @lru_cache(maxsize=1024)  # each order costs ~0.1 ms; bounded so long studies do not grow it
 def lambertian_order(semi_angle):
     """Lambertian mode number m = -ln 2 / ln(cos(semi_angle)).
 
-    Evaluated at extended precision so the special angles come out exact
-    (m(60) == 1.0, m(45) == 2.0); the plain float path is one ulp off
-    there because radians(60) is not representable.  The result is the
-    mpmath evaluation at 30 digits, bit for bit (see _decimal_order).
+    The double nearest the true order (see _decimal_order), so the special
+    angles come out exact (m(60) == 1.0, m(45) == 2.0); the plain float
+    path is one ulp off there because radians(60) is not representable.
     """
-    if not 0.0 < semi_angle < 90.0:
-        raise ValueError(f"semi_angle must lie in (0, 90) degrees, got {semi_angle}")
-    order = _decimal_order(semi_angle)
-    return order if order is not None else _mpmath_order(semi_angle)
+    check_semi_angle("semi_angle", semi_angle)
+    return _decimal_order(semi_angle)
 
 
-_DECIMAL = Context(prec=40)
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-_LN2 = _DECIMAL.ln(2)
-_TAYLOR_CUTOFF = Decimal("1e-45")
-# On [1, 89] degrees mpmath at 30 digits lies within 1e-27 (relative) of
-# the true order, and this 40-digit evaluation within 1e-35 (worst cases
-# against 70 digits: 3.2e-28 and 1.5e-36, both just above 1 degree).  A
-# window of 1e-25 around the latter holds both, so where the whole window
-# rounds to one double, that double is also what mpmath yields.
-_WINDOW = Decimal("1e-25")
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+               "58209749445923078164062862089986280348253421170679")
+_LN2 = Decimal("0.69314718055994530941723212145817656807550013436025"
+               "52541206800094933936219696947156058633269964186875")
+_RETRY_DIGITS = 80  # _PI and _LN2 carry 100 digits
 
 
-def _decimal_order(semi_angle):
-    """The order in 40-digit decimal arithmetic, or None where uncertified.
+def _decimal_order(semi_angle, digits=40):
+    """The order as the double nearest its true value.
 
-    None below 1 or above 89 degrees (1 - cos loses digits near 0, and
-    the order's conditioning worsens near 90), and where the window
-    around the value straddles a rounding boundary between doubles, which
-    no tested angle does.
+    At the given digits the decimal value lies within 10**(5 - digits) of
+    the true order on the semi-angle domain (relative; worst cases against
+    120 digits, just above 1 degree: 1.4e-36 at 40 digits, 2.5e-76 at 80).
+    So where a window of 10**(10 - digits) around it rounds to one double,
+    that double is the nearest; where it does not, which no tested angle
+    meets at 40 digits, the order is recomputed at _RETRY_DIGITS.
     """
-    if not 1.0 <= semi_angle <= 89.0:
-        return None
-    with localcontext(_DECIMAL):
+    with localcontext(Context(prec=digits)):
         x = Decimal(semi_angle) * _PI / 180
         x2 = x * x
         term = cosine = Decimal(1)
         k = 0
-        while abs(term) > _TAYLOR_CUTOFF:  # cos x = sum of (-x^2)^j / (2j)!
+        cutoff = Decimal(10) ** (-digits - 5)
+        while abs(term) > cutoff:  # cos x = sum of (-x^2)^j / (2j)!
             k += 2
             term = -term * x2 / (k * (k - 1))
             cosine += term
         order = -_LN2 / cosine.ln()
-        low, high = float(order * (1 - _WINDOW)), float(order * (1 + _WINDOW))
-    return low if low == high else None
-
-
-def _mpmath_order(semi_angle):
-    import mpmath  # ~4 MB resident and ~50 ms to import; only this path needs it
-
-    with mpmath.workdps(30):
-        cosine = mpmath.cospi(mpmath.mpf(semi_angle) / 180)
-        return float(-mpmath.log(2) / mpmath.log(cosine))
+        window = Decimal(10) ** (10 - digits)
+        low, high = float(order * (1 - window)), float(order * (1 + window))
+    if low == high or digits >= _RETRY_DIGITS:
+        return float(order)
+    return _decimal_order(semi_angle, _RETRY_DIGITS)
 
 
 def _flux_density_per_watt(geometry):
@@ -117,12 +108,12 @@ def _flux_density_per_watt(geometry):
     return (
         (m + 1.0)
         / (2.0 * math.pi * geometry.distance**2)
-        * _cos_deg(geometry.irradiance_angle) ** m
-        * _cos_deg(geometry.incidence_angle)
+        * math.cos(math.radians(geometry.irradiance_angle)) ** m
+        * math.cos(math.radians(geometry.incidence_angle))
     )
 
 
-def channel_gain(geometry, pd_area, filter_gain=1.0, concentrator_gain=1.0):
+def channel_gain(geometry, pd_area, filter_gain=1.0):
     """DC channel gain of a Lambertian LoS link onto a flat photodetector.
 
     Returns 0 when the incidence angle reaches the receiver field of view.
@@ -131,14 +122,7 @@ def channel_gain(geometry, pd_area, filter_gain=1.0, concentrator_gain=1.0):
         raise ValueError(f"pd_area must be positive, got {pd_area}")
     if geometry.incidence_angle >= RECEIVER_FOV:
         return 0.0
-    return _flux_density_per_watt(geometry) * pd_area * filter_gain * concentrator_gain
-
-
-def received_optical_power(tx_optical_power, gain):
-    """Optical power collected by the photodetector."""
-    if tx_optical_power < 0.0 or gain < 0.0:
-        raise ValueError("tx_optical_power and gain must be nonnegative")
-    return tx_optical_power * gain
+    return _flux_density_per_watt(geometry) * pd_area * filter_gain
 
 
 def irradiance_at(tx_optical_power, geometry):

@@ -1,19 +1,20 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
-Exit codes: 0 success, 1 scenario file problem (including model constants
-that make a band's rate or harvest, or their sum over the bands, inf or
-NaN, and a fading ensemble above its budget), 2 unknown protocol, bad
---grid (below 2, or a grid whose control tuples, grid ** free axes, exceed
-the sweep budget of 2**21 for the region's protocol or, for compare, for
-any protocol) or an --out that names no file (such as "" or "."), each
-refused before any sweep, 3 degenerate region, 4 safety verdict failed,
-5 the region's CSV pair could not be written.
-"""
+Exit codes: 0 success; 1 scenario file problem: a key out of its range
+(such as a semi-angle outside the Lambertian domain), a fading ensemble
+above its budget, or keys that make a link gain, the full-drive
+illuminance, the per-device NIRL power, a band's rate or harvest, or
+their sum over the bands overflow or come out inf or NaN; 2 unknown
+protocol, --grid below 2 or above the sweep budget of 2**21 control
+tuples, or an --out that names no file ("", "." or "sub/.."), each
+refused before any sweep; 3 degenerate region; 4 safety verdict failed;
+5 the region's CSV pair could not be written."""
 
 import argparse
 import os
 import sys
 import uuid
+from contextlib import suppress
 from pathlib import Path
 
 from .region import _Points, DegenerateRegionError, dominates, max_energy, max_rate, sweep
@@ -72,14 +73,16 @@ def _write_together(outputs):
 
     Every file is first written in full to a temporary file beside its
     target; only then is each renamed over its target.  If writing any of
-    them fails, every temporary file is removed and the old targets stay
-    as they were.  Lines are formatted as they are written, so the whole
-    text is never built.
+    them fails, every temporary file and every directory this call made is
+    removed, and the old targets stay as they were.  Lines are formatted as
+    they are written, so the whole text is never built.
     """
     moves = []
+    made = []  # directories this call created, deepest first
     try:
         for path, lines in outputs:
             target = Path(path)
+            made[:0] = [d for d in (target.parent, *target.parent.parents) if not d.exists()]
             target.parent.mkdir(parents=True, exist_ok=True)
             tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
             # open() creates the file with mode 0o666 less the umask, as a
@@ -92,6 +95,9 @@ def _write_together(outputs):
     except BaseException:
         for tmp, _ in moves:
             tmp.unlink(missing_ok=True)
+        for directory in made:
+            with suppress(OSError):  # something else has written into it since
+                directory.rmdir()
         raise
 
 
@@ -212,7 +218,8 @@ def main(argv=None):
                   f"(expected one of: {', '.join(_PROTOCOLS)})", file=sys.stderr)
             return 2
         out_path = args.out if args.out is not None else f"region_{protocol.value}.csv"
-        if not Path(out_path).name:  # e.g. "" or "."; the frontier name derives from it
+        # e.g. "", "." or "sub/.."; the frontier name derives from the file name
+        if Path(out_path).name in ("", ".."):
             print(f"error: --out must name a file, got '{out_path}'", file=sys.stderr)
             return 2
     # Refuse an oversized grid before any sweep starts; compare checks all

@@ -217,14 +217,17 @@ def _lux_violation(scenario, alpha_vl, tau_vl):
     return None
 
 
-def _finite(band, term):
-    """Pass a band's (rate, harvested power) through, rejecting inf and NaN."""
-    if not (math.isfinite(term[0]) and math.isfinite(term[1])):
-        raise ScenarioValidationError(
-            f"the {band} band yields a non-finite (rate, harvested power) = {term}; "
-            f"the scenario's model constants are out of range"
-        )
-    return term
+def _finite(band, kernel, *args):
+    """A band's (rate, harvested power) = kernel(*args), rejecting overflow, inf and NaN."""
+    try:
+        term = kernel(*args)
+        if math.isfinite(term[0]) and math.isfinite(term[1]):
+            return term
+        what = f"a non-finite (rate, harvested power) = {term}"
+    except ArithmeticError as exc:
+        what = f"{type(exc).__name__} ({exc})"
+    raise ScenarioValidationError(f"the {band} band yields {what}; "
+                                  "the scenario's model constants are out of range")
 
 
 # Entries per band memo.  A grid-G sweep has at most G^2 distinct band
@@ -256,15 +259,15 @@ class _Bands:
 
         @memo
         def nirl(alpha, tau):
-            return _finite("NIRL", _lightwave_branch(scenario, nirl_budget, h_nirl, alpha, tau))
+            return _finite("NIRL", _lightwave_branch, scenario, nirl_budget, h_nirl, alpha, tau)
 
         @memo
         def vl(budget, alpha, tau):
-            return _finite("VL", _lightwave_branch(scenario, budget(scenario), h_vl, alpha, tau))
+            return _finite("VL", _lightwave_branch, scenario, budget(scenario), h_vl, alpha, tau)
 
         @memo
         def rf(power, rho):
-            return _finite("RF", _rf_branch(scenario, power(scenario), rho))
+            return _finite("RF", _rf_branch, scenario, power(scenario), rho)
 
         self.lux, self.nirl, self.vl, self.rf = lux, nirl, vl, rf
 

@@ -11,7 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .channel_optical import OpticalGeometry
+from .channel_optical import (OpticalGeometry, channel_gain, check_semi_angle, illuminance_at,
+                              irradiance_at)
 
 
 class ScenarioError(ValueError):
@@ -135,20 +136,12 @@ class Scenario:
         _validate(self)
 
     def vl_geometry(self):
-        return OpticalGeometry(
-            distance=self.optical_distance,
-            irradiance_angle=self.irradiance_angle_vl,
-            incidence_angle=self.incidence_angle_vl,
-            semi_angle=self.vl_semi_angle,
-        )
+        return OpticalGeometry(self.optical_distance, self.irradiance_angle_vl,
+                               self.incidence_angle_vl, self.vl_semi_angle)
 
     def nirl_geometry(self):
-        return OpticalGeometry(
-            distance=self.optical_distance,
-            irradiance_angle=self.irradiance_angle_nirl,
-            incidence_angle=self.incidence_angle_nirl,
-            semi_angle=self.nirl_semi_angle,
-        )
+        return OpticalGeometry(self.optical_distance, self.irradiance_angle_nirl,
+                               self.incidence_angle_nirl, self.nirl_semi_angle)
 
     def nirl_power_per_device(self):
         """The angle-diversity bulb splits its power equally across devices."""
@@ -177,7 +170,6 @@ _ANGLE_FIELDS = (
     "incidence_angle_nirl",
     "irradiance_angle_nirl",
 )
-_SEMI_ANGLE_FIELDS = ("vl_semi_angle", "nirl_semi_angle")
 _UNIT_INTERVAL_FIELDS = ("pd_responsivity", "pd_fill_factor")
 # Fading-ensemble budget, checked before any draw.  A build costs about
 # 37 ns per channel entry plus 0.8 us per fading vector (one vdot and one
@@ -218,15 +210,9 @@ def _validate(s):
     for name in _ANGLE_FIELDS:
         value = getattr(s, name)
         if not 0.0 <= value < 90.0:
-            raise ScenarioValidationError(
-                f"{name} must lie in [0, 90) degrees, got {value}"
-            )
-    for name in _SEMI_ANGLE_FIELDS:
-        value = getattr(s, name)
-        if not 0.0 < value < 90.0:
-            raise ScenarioValidationError(
-                f"{name} must lie in (0, 90) degrees, got {value}"
-            )
+            raise ScenarioValidationError(f"{name} must lie in [0, 90) degrees, got {value}")
+    for name in ("vl_semi_angle", "nirl_semi_angle"):
+        check_semi_angle(name, getattr(s, name), ScenarioValidationError)
     for name in _UNIT_INTERVAL_FIELDS:
         value = getattr(s, name)
         if not 0.0 < value <= 1.0:
@@ -235,6 +221,27 @@ def _validate(s):
         raise ScenarioValidationError(
             f"vl_dim_fraction must lie in (0, 1), got {s.vl_dim_fraction}"
         )
+    _check_derived(s)
+
+
+def _check_derived(s):
+    # Once per scenario, never per control tuple.  A zero gain (grazing incidence) is legal.
+    vl, nirl = s.vl_geometry(), s.nirl_geometry()
+    links = "optical_distance, pd_area and optical_filter_gain"
+    for keys, what, quantity, *args in (
+            (links, "VL link gain", channel_gain, vl, s.pd_area, s.optical_filter_gain),
+            (links, "NIRL link gain", channel_gain, nirl, s.pd_area, s.optical_filter_gain),
+            ("vl_bulb_power, luminous_efficacy and optical_distance", "full-drive illuminance",
+             illuminance_at, s.vl_bulb_power, s.luminous_efficacy, vl),
+            ("nirl_bulb_power, n_devices and optical_distance", "NIRL irradiance",
+             lambda: irradiance_at(s.nirl_power_per_device(), nirl))):
+        try:
+            value = quantity(*args)
+            if math.isfinite(value):
+                continue
+        except ArithmeticError as exc:
+            value = f"{type(exc).__name__} ({exc})"
+        raise ScenarioValidationError(f"{keys} make the {what} out of range: {value}")
 
 
 def default_scenario():

@@ -12,12 +12,11 @@ import wiptsim
 from wiptsim import (
     OpticalGeometry,
     channel_gain,
+    channel_optical,
     illuminance_at,
     irradiance_at,
     lambertian_order,
-    received_optical_power,
 )
-from wiptsim.channel_optical import _decimal_order, _mpmath_order
 
 VL_GEOMETRY = OpticalGeometry(distance=2.05, irradiance_angle=60.0, incidence_angle=60.0, semi_angle=60.0)
 NIRL_GEOMETRY = OpticalGeometry(distance=2.05, irradiance_angle=0.0, incidence_angle=60.0, semi_angle=15.0)
@@ -39,9 +38,13 @@ def test_lambertian_order_15_degrees():
     assert math.cos(math.radians(15.0)) ** m == pytest.approx(0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, 90.0, -10.0, 120.0])
+# Just outside the semi-angle domain [1, 89] degrees, and far outside it.
+OUTSIDE_DOMAIN = [math.nextafter(1.0, 0.0), 0.5, 1e-30, 5e-324, math.nextafter(89.0, 90.0)]
+
+
+@pytest.mark.parametrize("bad", [0.0, 90.0, -10.0, 120.0, *OUTSIDE_DOMAIN])
 def test_lambertian_order_domain(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"semi_angle must lie in \[1, 89\] degrees"):
         lambertian_order(bad)
 
 
@@ -58,10 +61,9 @@ def test_channel_gain_grazing_incidence_is_zero():
     assert channel_gain(grazing, 0.0085) == 0.0
 
 
-def test_channel_gain_scales_with_filter_and_concentrator():
+def test_channel_gain_scales_with_filter():
     base = channel_gain(VL_GEOMETRY, 0.0085)
     assert channel_gain(VL_GEOMETRY, 0.0085, filter_gain=0.5) == pytest.approx(0.5 * base)
-    assert channel_gain(VL_GEOMETRY, 0.0085, concentrator_gain=3.0) == pytest.approx(3.0 * base)
 
 
 def test_channel_gain_rejects_bad_area():
@@ -93,24 +95,16 @@ def test_channel_gain_cos_squared_at_unit_order():
         assert channel_gain(geometry, 0.0085) == pytest.approx(expected, rel=1e-12)
 
 
-def test_received_optical_power():
-    assert received_optical_power(22.0, H_VL) == pytest.approx(3.540984456654902e-3, rel=1e-12)
-    assert received_optical_power(22.0, H_NIRL) == pytest.approx(7.433846226375986e-2, rel=1e-12)
-    assert received_optical_power(0.0, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        received_optical_power(-1.0, 0.5)
-
-
 def test_irradiance_nirl():
     assert irradiance_at(22.0, NIRL_GEOMETRY) == pytest.approx(8.745701442795276, rel=1e-12)
     assert irradiance_at(0.0, NIRL_GEOMETRY) == 0.0
 
 
 def test_irradiance_matches_channel_gain_identity():
-    # H * P / (A * T * g) == irradiance for any shared geometry
+    # H * P / (A * T) == irradiance for any shared geometry
     for geometry in (VL_GEOMETRY, NIRL_GEOMETRY):
-        gain = channel_gain(geometry, 0.0085, filter_gain=0.9, concentrator_gain=1.2)
-        lhs = gain * 22.0 / (0.0085 * 0.9 * 1.2)
+        gain = channel_gain(geometry, 0.0085, filter_gain=0.9)
+        lhs = gain * 22.0 / (0.0085 * 0.9)
         assert lhs == pytest.approx(irradiance_at(22.0, geometry), rel=1e-12)
 
 
@@ -134,6 +128,7 @@ def test_illuminance_boresight_closed_form():
     {"incidence_angle": -1.0},
     {"semi_angle": 90.0},
     {"semi_angle": 0.0},
+    *({"semi_angle": bad} for bad in OUTSIDE_DOMAIN),
 ])
 def test_geometry_validation(kwargs):
     base = dict(distance=2.05, irradiance_angle=60.0, incidence_angle=60.0, semi_angle=60.0)
@@ -143,29 +138,53 @@ def test_geometry_validation(kwargs):
 
 def _angles_to_check():
     rng = random.Random(2024)
-    grid = [i / 4 for i in range(1, 360)]  # every quarter degree in (0, 90)
-    return grid + [rng.uniform(0.0, 90.0) for _ in range(1500)] + [
-        1.0, 89.0, math.nextafter(1.0, 0.0), math.nextafter(89.0, 90.0), 1e-9, 90.0 - 1e-9,
+    grid = [i / 4 for i in range(4, 357)]  # every quarter degree in [1, 89]
+    return grid + [rng.uniform(1.0, 89.0) for _ in range(1500)] + [
+        1.0, 89.0, math.nextafter(1.0, 2.0), math.nextafter(89.0, 0.0),
     ]
 
 
+def _true_order(angle):
+    """The double nearest the order, from mpmath at 60 digits."""
+    import mpmath  # the test oracle; the package itself never imports it
+
+    with mpmath.workdps(60):
+        cosine = mpmath.cospi(mpmath.mpf(angle) / 180)
+        return float(-mpmath.log(2) / mpmath.log(cosine))
+
+
 def test_lambertian_order_equals_mpmath_evaluation():
-    # The decimal path must give mpmath's 30-digit result bit for bit, and
-    # fall back to it outside [1, 89] degrees.
+    # Every angle's order is the double nearest its 60-digit mpmath value.
     for angle in _angles_to_check():
         lambertian_order.cache_clear()
-        got = lambertian_order(angle)
-        assert got.hex() == _mpmath_order(angle).hex(), angle
-        decimal = _decimal_order(angle)
-        assert (decimal is not None) == (1.0 <= angle <= 89.0), angle
+        assert lambertian_order(angle).hex() == _true_order(angle).hex(), angle
+
+
+def test_order_retries_at_80_digits_when_uncertified(monkeypatch):
+    # At 17 digits the certification window (1e-7 relative) always straddles
+    # a rounding boundary, so every angle takes the 80-digit retry.
+    digits_used = []
+    real = channel_optical._decimal_order
+
+    def spy(angle, digits=40):
+        digits_used.append(digits)
+        return real(angle, digits)
+
+    monkeypatch.setattr(channel_optical, "_decimal_order", spy)
+    for angle in (1.0, 15.0, 45.0, 60.0, 73.125, 89.0):
+        digits_used.clear()
+        assert spy(angle, 17).hex() == _true_order(angle).hex(), angle
+        assert digits_used == [17, 80], angle
+    assert spy(60.0, 17) == 1.0 and spy(45.0, 17) == 2.0
 
 
 def test_import_and_default_orders_leave_mpmath_unloaded():
-    # mpmath costs about 4 MB resident per process; only uncertified angles need it
-    code = ("import sys, wiptsim; wiptsim.lambertian_order(60.0); "
-            "wiptsim.lambertian_order(15.0); print('mpmath' in sys.modules)")
+    # the package needs numpy alone at run time, at the domain's edges too
+    code = ("import sys, wiptsim; "
+            "print([wiptsim.lambertian_order(a) > 0 for a in (60.0, 15.0, 1.0, 89.0)]); "
+            "print('mpmath' in sys.modules)")
     src = Path(wiptsim.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["[True, True, True, True]", "False"]

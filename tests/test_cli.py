@@ -1,15 +1,22 @@
 import hashlib
+import io
+import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiptsim import cli
+from wiptsim import cli, default_scenario
 from wiptsim.cli import CSV_HEADER, main
+from wiptsim.scenario import _flat, _format_value
 
 
 @pytest.fixture
@@ -164,7 +171,76 @@ def test_rf_distance_below_reference_exits_1(tmp_path, capsys):
     assert "rf_distance must be at least 1 m" in captured.err
 
 
-@pytest.mark.parametrize("out", ["", "."])
+def _refuses_scenario(tmp_path, monkeypatch, capsys, text, argv):
+    """Run argv on a scenario file holding text and return its stderr.
+
+    The run must exit 1 with one error line, print nothing to stdout and
+    leave no file behind.
+    """
+    path = tmp_path / "hostile.toml"
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    assert main([command, str(path), *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid scenario '{path}': ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hostile.toml"]
+    return captured.err
+
+
+@pytest.mark.parametrize("angle", ["0.9999999999999999", "0.5", "1e-30", "5e-324",
+                                   "89.00000000000001"])
+@pytest.mark.parametrize("key", ["vl_semi_angle", "nirl_semi_angle"])
+def test_semi_angle_outside_domain_exits_1(tmp_path, monkeypatch, capsys, key, angle):
+    err = _refuses_scenario(tmp_path, monkeypatch, capsys, f"{key} = {angle}\n",
+                            ["compare", "--grid", "3"])
+    assert f"{key} must lie in [1, 89] degrees, got {angle}" in err
+
+
+_COMPARE = ["compare", "--grid", "3"]
+
+
+@pytest.mark.parametrize("text,argv,named", [
+    ("nirl_bulb_power = 1e200\n", _COMPARE, "the NIRL band yields OverflowError"),
+    ("optical_filter_gain = 1e300\n", _COMPARE, "the VL band yields OverflowError"),
+    ("pd_area = 1e300\n", _COMPARE, "the VL band yields OverflowError"),
+    ("vl_bulb_power = 1e200\nluminous_efficacy = 1e-200\n", _COMPARE,
+     "the VL band yields OverflowError"),
+    # refused before any band runs: the full-drive illuminance is inf
+    ("vl_bulb_power = 1e308\n", ["region", "d", "--grid", "3"],
+     "vl_bulb_power, luminous_efficacy and optical_distance make the full-drive illuminance"),
+], ids=["nirl_bulb_power", "optical_filter_gain", "pd_area", "vl_bulb_power-efficacy",
+        "vl_bulb_power-region-d"])
+def test_band_kernel_overflow_exits_1(tmp_path, monkeypatch, capsys, text, argv, named):
+    # the squared AC photocurrent of a band overflows; it used to escape as a traceback
+    err = _refuses_scenario(tmp_path, monkeypatch, capsys, text, argv)
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [["compare", "--grid", "3"], ["region", "d", "--grid", "3"],
+                                  ["safety"]], ids=["compare", "region", "safety"])
+@pytest.mark.parametrize("distance,error", [("1e-308", "ZeroDivisionError"),
+                                            ("1e200", "OverflowError")])
+def test_optical_distance_squared_out_of_range_exits_1(tmp_path, monkeypatch, capsys, argv,
+                                                       distance, error):
+    # distance**2 underflows to 0 or overflows in the flux density
+    err = _refuses_scenario(tmp_path, monkeypatch, capsys, f"optical_distance = {distance}\n",
+                            argv)
+    assert f"optical_distance, pd_area and optical_filter_gain make the VL link gain out of " \
+           f"range: {error}" in err
+
+
+def test_infinite_nirl_irradiance_exits_1(tmp_path, monkeypatch, capsys):
+    # safety used to report an irradiance margin of -inf W/m^2 and exit 4
+    err = _refuses_scenario(tmp_path, monkeypatch, capsys,
+                            "nirl_bulb_power = 1e308\noptical_distance = 0.1\n", ["safety"])
+    assert "nirl_bulb_power, n_devices and optical_distance make the NIRL irradiance out of " \
+           "range: inf" in err
+
+
+@pytest.mark.parametrize("out", ["", ".", "..", "sub/.."])
 def test_region_out_without_file_name_exits_2(default_file, tmp_path, monkeypatch, capsys,
                                               out):
     def no_sweep(*args):
@@ -214,6 +290,20 @@ def test_region_unwritable_out_exits_5(default_file, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "default.toml"]
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_failed_write_removes_the_directories_it_made(default_file, tmp_path, monkeypatch,
+                                                     capsys):
+    def failing_rows(protocol, points):
+        yield CSV_HEADER + "\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    out = tmp_path / "new" / "deeper" / "rf.csv"
+    assert main(["region", default_file, "rf", "--grid", "3", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write") and "disk full" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
 
 
 def test_oversized_ensemble_refused_before_any_draw(tmp_path, capsys):
@@ -269,3 +359,42 @@ def test_safety_body_exposure(tmp_path, capsys):
     path.write_text("nirl_beam_avoids_body = false\n")
     assert main(["safety", str(path), "--dim"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+# Extreme values, valid or not, for every key but the ensemble size, whose
+# budget has its own tests.
+_EXTREME_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-308, 1e-30, 0.5, 89.5, 90.0,
+                   math.nextafter(1.0, 0.0), math.nextafter(89.0, 90.0), 1e30, -1e30, 1e200,
+                   1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_EXTREME = {bool: st.booleans(), int: st.sampled_from([0, -1, 1, 2**63, 10**30, 10**400]),
+            float: st.sampled_from(_EXTREME_FLOATS) | st.floats()}
+_HOSTILE_KEYS = {f.name: _EXTREME[f.type] for f, _ in _flat(default_scenario())
+                 if f.name not in ("mc_samples", "n_rf_antennas")}
+_NON_FINITE = {"nan", "-nan", "inf", "-inf", "+inf"}
+
+
+@st.composite
+def _hostile_files(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_HOSTILE_KEYS)), min_size=1, max_size=4,
+                         unique=True))
+    return "".join(f"{key} = {_format_value(draw(_HOSTILE_KEYS[key]))}\n" for key in keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_files())
+def test_hostile_scenario_files_end_in_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "hostile.toml"), Path(tmp, "d.csv")
+        path.write_text(text)
+        for argv in (["safety", str(path)], ["compare", str(path), "--grid", "3"],
+                     ["region", str(path), "d", "--grid", "3", "--out", str(out)]):
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main(argv)  # an escaping exception fails the test
+            assert code in range(6), (argv, code)
+            if argv[0] != "region":  # whole cells: "illuminance" contains "nan"
+                assert not _NON_FINITE & {cell.lower() for cell in stdout.getvalue().split()}
+        for csv in (out, Path(tmp, "d.frontier.csv")):
+            if csv.exists():
+                fields = csv.read_text().replace("\n", ",").split(",")
+                assert not _NON_FINITE & {field.lower() for field in fields}, csv.name

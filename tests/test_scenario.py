@@ -126,6 +126,14 @@ def test_validation_names_field():
         ("irradiance_angle_nirl = -5", "irradiance_angle_nirl"),
         ("vl_semi_angle = 90", "vl_semi_angle"),
         ("nirl_semi_angle = 0", "nirl_semi_angle"),
+        ("vl_semi_angle = 0.5", r"vl_semi_angle must lie in \[1, 89\] degrees"),
+        ("nirl_semi_angle = 89.5", r"nirl_semi_angle must lie in \[1, 89\] degrees"),
+        ("optical_distance = 1e-308", "optical_distance, pd_area and optical_filter_gain"),
+        ("optical_distance = 1e200", "optical_distance, pd_area and optical_filter_gain"),
+        ("vl_bulb_power = 1e308", "vl_bulb_power, luminous_efficacy and optical_distance"),
+        pytest.param("n_devices = " + "9" * 400,
+                     "nirl_bulb_power, n_devices and optical_distance",
+                     id="n_devices = 10**400 - 1"),
         ("pd_fill_factor = 0", "pd_fill_factor"),
         ("pd_responsivity = 1.5", "pd_responsivity"),
         ("vl_dim_fraction = 1", "vl_dim_fraction"),
@@ -183,7 +191,14 @@ def test_round_trip_randomized(scenario):
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
 _ANGLE = st.floats(min_value=0.0, max_value=90.0, exclude_max=True) | st.just(-0.0)
-_SEMI_ANGLE = st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True)
+_SEMI_ANGLE = st.floats(min_value=1.0, max_value=89.0)
+# The keys that feed the link gains, the full-drive illuminance and the
+# NIRL irradiance, bounded so that no combination makes one of them
+# overflow: the distance keeps d**2 within [1e-200, 1e200], so the flux
+# density stays below 1e203 per watt, and each of them multiplies it by at
+# most two factors of at most 1e50 each.
+_DISTANCE = st.floats(min_value=1e-100, max_value=1e100)
+_FACTOR = st.floats(min_value=0.0, max_value=1e50, exclude_min=True)
 _UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 _KEY_VALUES = {
     "n_rf_antennas": st.integers(1, _MAX_RF_ANTENNAS),
@@ -194,21 +209,21 @@ _KEY_VALUES = {
     "rf_noise_power": _POSITIVE,
     "rf_bandwidth": _POSITIVE,
     "rf_distance": st.floats(min_value=1.0, allow_infinity=False),
-    "optical_distance": _POSITIVE,
-    "vl_bulb_power": _POSITIVE,
+    "optical_distance": _DISTANCE,
+    "vl_bulb_power": _FACTOR,
     "vl_semi_angle": _SEMI_ANGLE,
-    "nirl_bulb_power": _POSITIVE,
+    "nirl_bulb_power": _FACTOR,
     "nirl_semi_angle": _SEMI_ANGLE,
     "n_devices": st.integers(min_value=1, max_value=10**30),
     "incidence_angle_vl": _ANGLE,
     "irradiance_angle_vl": _ANGLE,
     "incidence_angle_nirl": _ANGLE,
     "irradiance_angle_nirl": _ANGLE,
-    "pd_area": _POSITIVE,
+    "pd_area": _FACTOR,
     "pd_responsivity": _UNIT,
     "pd_fill_factor": _UNIT,
     "optical_noise_power": _POSITIVE,
-    "optical_filter_gain": _POSITIVE,
+    "optical_filter_gain": _FACTOR,
     "optical_bandwidth": _POSITIVE,
     "p_sat": _POSITIVE,
     "a": _POSITIVE,
@@ -219,7 +234,7 @@ _KEY_VALUES = {
     "sar_window": _POSITIVE,
     "nirl_irradiance_limit": _POSITIVE,
     "nirl_beam_avoids_body": st.booleans(),
-    "luminous_efficacy": _POSITIVE,
+    "luminous_efficacy": _FACTOR,
     "vl_dim_fraction": st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                                  exclude_max=True),
     # the ensemble budget holds for any antenna count up to the cap
