@@ -11,11 +11,14 @@ refused before any sweep; 3 degenerate region; 4 safety verdict failed;
 5 the region's CSV pair could not be written."""
 
 import argparse
+import itertools
 import os
 import sys
 import uuid
 from contextlib import suppress
 from pathlib import Path
+
+import numpy as np
 
 from .region import _Points, DegenerateRegionError, dominates, max_energy, max_rate, sweep
 from .protocols import _TABLE, ProtocolId, SweepBudgetError, enumerate_controls
@@ -34,10 +37,6 @@ def _load_scenario(path):
     return parse_scenario(text)
 
 
-def _csv_field(v):
-    return f"{v:.8e}"
-
-
 class _ControlText(dict):
     """Control value -> its CSV text, formatted once per distinct value.
 
@@ -46,26 +45,41 @@ class _ControlText(dict):
     """
 
     def __missing__(self, v):
-        text = _csv_field(v)
+        text = f"{v:.8e}"
         if v:
             self[v] = text
         return text
 
 
-def _csv_rows(protocol, points):
-    """The CSV lines of a region's points, newline-terminated, header first.
+_CSV_BLOCK = 8192  # rows per block: amortises the numpy calls, bounds the boxed floats
 
-    Reads the column store's rows directly; a sequence of points is
-    stored as columns first.
+
+def _csv_rows(protocol, points):
+    """The CSV text of a region's points in blocks of whole lines, header first.
+
+    A sequence of points is stored as columns first.  Consecutive rows
+    whose first four controls have the same bits (-0.0 is not 0.0) form a
+    run, whose line prefix is formatted once and whose rate and harvest go
+    through one %-template: "%.8e" % v equals format(v, ".8e").
     """
     yield CSV_HEADER + "\n"
-    prefix = protocol.value + ","
+    store = _Points.of(points, protocol)
     text = _ControlText()  # a grid has few distinct control levels
-    for rate, harvest, alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf in (
-            _Points.of(points, protocol).rows()):
-        yield (f"{prefix}{text[alpha_nirl]},{text[tau_nirl]},{text[alpha_vl]},"
-               f"{text[tau_vl]},{text[rho_rf]},"
-               f"{_csv_field(rate)},{_csv_field(harvest)}\n")
+    for start in range(0, len(store), _CSV_BLOCK):
+        rate, harvest, *controls = (store.column(k)[start:start + _CSV_BLOCK]
+                                    for k in range(7))
+        bits = np.stack([c.view(np.int64) for c in controls[:4]])
+        changed = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+        runs = [0, *(np.flatnonzero(changed) + 1).tolist(), len(rate)]
+        fields = [None] * (3 * len(rate))  # rho_rf text, rate, harvest of each row
+        fields[0::3] = map(text.__getitem__, controls[4].tolist())
+        fields[1::3] = rate.tolist()
+        fields[2::3] = harvest.tolist()
+        firsts = zip(*(c[runs[:-1]].tolist() for c in controls[:4]))
+        yield "".join(
+            (",".join([protocol.value, *map(text.__getitem__, first), "%s,%.8e,%.8e\n"])
+             * (end - begin)) % tuple(fields[3 * begin:3 * end])
+            for (begin, end), first in zip(itertools.pairwise(runs), firsts))
 
 
 def _write_together(outputs):

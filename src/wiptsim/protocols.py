@@ -18,10 +18,9 @@ bulb at the configured dim level with equal DC and AC parts.
 import enum
 import itertools
 import math
-from dataclasses import dataclass, fields
-from functools import lru_cache
-from operator import attrgetter
-from types import SimpleNamespace
+from functools import lru_cache, partial
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,9 @@ from .scenario import ScenarioValidationError
 
 
 class ProtocolId(enum.Enum):
+    # members are singletons, so _TABLE lookups need not call Enum.__hash__
+    __hash__ = object.__hash__
+
     RF_ONLY = "rf"
     VL_ONLY = "vl"
     NIRL_ONLY = "nirl"
@@ -50,29 +52,44 @@ class InfeasibleControlsError(ValueError):
     """Controls violate protocol c's illuminance range."""
 
 
-@dataclass(frozen=True, slots=True)
-class ProtocolControls:
-    """Free variables of a protocol; pinned fields carry their pinned values."""
-
+class _Controls(NamedTuple):
     alpha_nirl: float  # NIRL DC fraction
     tau_nirl: float    # NIRL ID time fraction
     alpha_vl: float    # VL DC fraction
     tau_vl: float      # VL ID time fraction
     rho_rf: float      # RF power-splitting factor (EH share)
 
-    def __post_init__(self):
-        # Spelled out, not looped: this runs once per enumerated tuple.
-        if not (0.0 <= self.alpha_nirl <= 1.0 and 0.0 <= self.tau_nirl <= 1.0
-                and 0.0 <= self.alpha_vl <= 1.0 and 0.0 <= self.tau_vl <= 1.0
-                and 0.0 <= self.rho_rf <= 1.0):
-            name, value = next((name, value) for name, value
-                               in zip(_CONTROL_NAMES, _control_values(self))
-                               if not 0.0 <= value <= 1.0)
+
+_CONTROL_NAMES = _Controls._fields
+
+
+def _check_unit(named_values):
+    for name, value in named_values:
+        if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True, slots=True)
-class OperatingPoint:
+class ProtocolControls(_Controls):
+    """Free variables of a protocol; pinned fields carry their pinned values.
+
+    A tuple: build one by position or keyword, change one with ``_replace``.
+    Every constructor checks that each control lies in [0, 1].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf):
+        values = (alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf)
+        _check_unit(zip(_CONTROL_NAMES, values))
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+
+class OperatingPoint(NamedTuple):
     """One achievable (rate, harvested power) pair of a protocol."""
 
     rate: float
@@ -81,8 +98,6 @@ class OperatingPoint:
     protocol: ProtocolId
 
 
-_CONTROL_NAMES = tuple(f.name for f in fields(ProtocolControls))
-_control_values = attrgetter(*_CONTROL_NAMES)
 _SWEPT = None  # marks a control the protocol leaves free in a table row
 
 
@@ -101,9 +116,9 @@ class _Protocol:
         self.free = tuple(name for name, value in named if value is _SWEPT)
         self.pins = {name: value for name, value in named if value is not _SWEPT}
         # pinned(controls) == pin_values is the per-call pin check
-        self.pinned = attrgetter(*self.pins)
-        self.pin_values = self.pinned(SimpleNamespace(**self.pins))
+        self.pinned = itemgetter(*(k for k, value in enumerate(controls) if value is not _SWEPT))
         self.controls = tuple(controls)
+        self.pin_values = self.pinned(self.controls)
         self.nirl = nirl
         self.vl = vl
         self.rf = rf
@@ -290,34 +305,39 @@ def _bands_for(scenario):
 def evaluate(scenario, protocol, controls):
     """Per-device operating point of a protocol at a concrete control setting.
 
-    Raises PinnedControlError when a pinned control deviates,
+    Raises TypeError when controls is not a ProtocolControls,
+    PinnedControlError when a pinned control deviates,
     InfeasibleControlsError for protocol c illuminance violations and
     ScenarioValidationError when a band term, or the sum of the bands,
     comes out inf or NaN.
     """
+    # A bare tuple would bypass the [0, 1] check of ProtocolControls.
+    if type(controls) is not ProtocolControls:
+        raise TypeError(f"controls must be a ProtocolControls, got {type(controls).__name__}")
     row = _TABLE[protocol]
     if row.pinned(controls) != row.pin_values:
         _check_pins(protocol, row.pins, controls)
+    alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf = controls
     bands = _bands_for(scenario)
     if row.lux_gated:
-        violation = bands.lux(controls.alpha_vl, controls.tau_vl)
+        violation = bands.lux(alpha_vl, tau_vl)
         if violation is not None:
             raise InfeasibleControlsError(violation)
     rate = 0.0
     harvested = 0.0
 
     if row.nirl:
-        r, e = bands.nirl(controls.alpha_nirl, controls.tau_nirl)
+        r, e = bands.nirl(alpha_nirl, tau_nirl)
         rate += r
         harvested += e
 
     if row.vl is not None:
-        r, e = bands.vl(row.vl, controls.alpha_vl, controls.tau_vl)
+        r, e = bands.vl(row.vl, alpha_vl, tau_vl)
         rate += r
         harvested += e
 
     if row.rf is not None:
-        r, e = bands.rf(row.rf, controls.rho_rf)
+        r, e = bands.rf(row.rf, rho_rf)
         rate += r
         harvested += e
 
@@ -327,7 +347,7 @@ def evaluate(scenario, protocol, controls):
             f"the summed band terms are non-finite: (rate, harvested power) = "
             f"({rate}, {harvested}); the scenario's model constants are out of range"
         )
-    return OperatingPoint(rate, harvested, controls, protocol)
+    return tuple.__new__(OperatingPoint, (rate, harvested, controls, protocol))
 
 
 class SweepBudgetError(ValueError):
@@ -352,7 +372,8 @@ class _Grid:
         return math.prod(map(len, self._axes))
 
     def __iter__(self):
-        return itertools.starmap(ProtocolControls, itertools.product(*self._axes))
+        # enumerate_controls checked every level, so no tuple needs __new__
+        return map(partial(tuple.__new__, ProtocolControls), itertools.product(*self._axes))
 
 
 def enumerate_controls(protocol, grid_points_per_axis):
@@ -374,4 +395,6 @@ def enumerate_controls(protocol, grid_points_per_axis):
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
     # A pinned axis is a one-level axis, so the product runs over the free
     # axes in the same order and yields full positional control tuples.
-    return _Grid([levels if value is _SWEPT else (value,) for value in row.controls])
+    axes = [levels if value is _SWEPT else (value,) for value in row.controls]
+    _check_unit((name, value) for name, axis in zip(_CONTROL_NAMES, axes) for value in axis)
+    return _Grid(axes)

@@ -43,15 +43,15 @@ class _Points:
         return store
 
     def append(self, point):
-        rate, harvest, alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf = self.columns
-        controls = point.controls
-        rate.append(point.rate)
-        harvest.append(point.harvested_power)
-        alpha_nirl.append(controls.alpha_nirl)
-        tau_nirl.append(controls.tau_nirl)
-        alpha_vl.append(controls.alpha_vl)
-        tau_vl.append(controls.tau_vl)
-        rho_rf.append(controls.rho_rf)
+        rate, harvest, (alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf), _ = point
+        columns = self.columns
+        columns[0].append(rate)
+        columns[1].append(harvest)
+        columns[2].append(alpha_nirl)
+        columns[3].append(tau_nirl)
+        columns[4].append(alpha_vl)
+        columns[5].append(tau_vl)
+        columns[6].append(rho_rf)
 
     def rows(self):
         """(rate, harvested power, five controls) float tuples, in order."""

@@ -110,6 +110,26 @@ def test_region_runs_are_byte_identical(default_file, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # AC-10 across processes: ProtocolId hashes by identity and str hashes
+    # vary with PYTHONHASHSEED; neither may reach an output byte.
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "default.toml"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        runs = [subprocess.run([sys.executable, "-m", "wiptsim.cli", *argv], cwd=work,
+                               env=env, capture_output=True, timeout=300, check=True).stdout
+                for argv in (["compare", str(scenario), "--grid", "11"],
+                             ["region", str(scenario), "d", "--grid", "5", "--out", "d.csv"])]
+        outputs.append((runs, (work / "d.csv").read_bytes(),
+                        (work / "d.frontier.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 1 + 5 ** 3
+
+
 def test_compare_table(default_file, capsys):
     assert main(["compare", default_file, "--grid", "11"]) == 0
     out = capsys.readouterr().out

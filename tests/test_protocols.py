@@ -1,5 +1,6 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from wiptsim import (
     EhRfModel,
     EhOpticalModel,
     InfeasibleControlsError,
+    OperatingPoint,
     PinnedControlError,
     ProtocolControls,
     ProtocolId,
@@ -27,7 +29,7 @@ from wiptsim import (
 )
 from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
-from wiptsim.protocols import _MAX_SWEEP_TUPLES, _TABLE, _link_gains
+from wiptsim.protocols import _MAX_SWEEP_TUPLES, _SWEPT, _TABLE, _Protocol, _link_gains
 
 
 def test_free_controls_map():
@@ -47,8 +49,60 @@ def test_controls_validation():
         ProtocolControls(0.0, 0.0, 0.0, -0.1, 0.0)
 
 
+def test_controls_are_checked_by_every_constructor():
+    controls = ProtocolControls(0.5, 1.0, 1.0, 0.0, 0.25)
+    assert ProtocolControls(**controls._asdict()) == controls
+    assert ProtocolControls._make([0.5, 1.0, 1.0, 0.0, 0.25]) == controls
+    assert type(controls._replace(rho_rf=1.0)) is ProtocolControls
+    with pytest.raises(ValueError, match=r"^tau_vl must lie in \[0, 1\], got -0.1$"):
+        ProtocolControls(0.0, 0.0, 0.0, -0.1, 0.0)
+    with pytest.raises(ValueError, match=r"^alpha_vl must lie in \[0, 1\], got 1.5$"):
+        ProtocolControls._make([0.0, 0.0, 1.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^rho_rf must lie in \[0, 1\], got nan$"):
+        controls._replace(rho_rf=float("nan"))
+    with pytest.raises(ValueError, match=r"^alpha_nirl must lie in \[0, 1\], got -inf$"):
+        controls._replace(alpha_nirl=float("-inf"))
+
+
+def test_records_keep_their_fields_repr_and_hash():
+    controls = ProtocolControls(alpha_nirl=0.5, tau_nirl=1.0, alpha_vl=1.0, tau_vl=0.0,
+                                rho_rf=0.25)
+    assert ProtocolControls._fields == ("alpha_nirl", "tau_nirl", "alpha_vl", "tau_vl",
+                                        "rho_rf")
+    assert repr(controls) == ("ProtocolControls(alpha_nirl=0.5, tau_nirl=1.0, alpha_vl=1.0, "
+                              "tau_vl=0.0, rho_rf=0.25)")
+    point = OperatingPoint(rate=2.0, harvested_power=3.0, controls=controls,
+                           protocol=ProtocolId.A)
+    assert repr(point) == (f"OperatingPoint(rate=2.0, harvested_power=3.0, "
+                           f"controls={controls!r}, protocol={ProtocolId.A!r})")
+    assert hash(controls) == hash(ProtocolControls(0.5, 1.0, 1.0, 0.0, 0.25))
+    assert {point: 1}[OperatingPoint(2.0, 3.0, controls, ProtocolId.A)] == 1
+    assert {p: p.value for p in ProtocolId}[ProtocolId.D] == "d"
+
+
+@pytest.mark.parametrize("controls", [
+    (0.5, 1.0, 1.0, 0.0, 0.25),    # in range, but never checked
+    (7.0, 1.0, 1.0, 0.0, -3.0),    # out of range
+    [0.5, 1.0, 1.0, 0.0, 0.25],
+    SimpleNamespace(alpha_nirl=0.5, tau_nirl=1.0, alpha_vl=1.0, tau_vl=0.0, rho_rf=0.25),
+], ids=["tuple", "tuple-out-of-range", "list", "namespace"])
+def test_evaluate_refuses_controls_that_are_not_protocol_controls(scenario, controls):
+    with pytest.raises(TypeError, match="controls must be a ProtocolControls"):
+        evaluate(scenario, ProtocolId.A, controls)
+
+
+def test_grid_levels_are_checked_when_the_grid_is_built(monkeypatch):
+    # no grid tuple passes through ProtocolControls.__new__, so a bad level
+    # must be refused before the first one is built
+    monkeypatch.setitem(_TABLE, ProtocolId.B,
+                        _Protocol((1.5, _SWEPT, 1.0, 0.0, _SWEPT), True, None, None))
+    with pytest.raises(ValueError, match=r"^alpha_nirl must lie in \[0, 1\], got 1.5$"):
+        enumerate_controls(ProtocolId.B, 3)
+    assert all(type(c) is ProtocolControls for c in enumerate_controls(ProtocolId.D, 3))
+
+
 def test_pinned_control_rejected(scenario):
-    controls = dataclasses.replace(controls_for(ProtocolId.A, alpha_nirl=0.5), tau_nirl=0.7)
+    controls = controls_for(ProtocolId.A, alpha_nirl=0.5)._replace(tau_nirl=0.7)
     with pytest.raises(PinnedControlError, match="tau_nirl"):
         evaluate(scenario, ProtocolId.A, controls)
     with pytest.raises(PinnedControlError):
@@ -287,11 +341,15 @@ def test_sweep_bit_equal_to_cold_evaluate(request, variant):
     # All seven sweeps share one scenario object, so later protocols read
     # band terms the earlier ones memoised (d's dimmed VL beside the full VL
     # of a-c, rf's full RF power beside the WPT power of a-d).
+    # Every sweep runs before the first cold evaluate, whose new scenario
+    # object would replace the shared band context.
     s = request.getfixturevalue(variant)
+    swept = {protocol: {p.controls: _bits(p) for p in sweep(s, protocol, 21).points}
+             for protocol in ProtocolId}
     for protocol in ProtocolId:
-        swept = {p.controls: _bits(p) for p in sweep(s, protocol, 21).points}
         for controls in enumerate_controls(protocol, 21):
-            assert swept.get(controls) == _cold(s, protocol, controls), (protocol, controls)
+            assert swept[protocol].get(controls) == _cold(s, protocol, controls), (protocol,
+                                                                                   controls)
 
 
 @pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)

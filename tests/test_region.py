@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from wiptsim import (
     DegenerateRegionError,
+    InfeasibleControlsError,
     OperatingPoint,
     ProtocolControls,
     ProtocolId,
     RateEnergyRegion,
+    ScenarioValidationError,
     dominates,
     enumerate_controls,
     evaluate,
@@ -23,7 +25,9 @@ from wiptsim import (
     pareto,
     sweep,
 )
+from wiptsim import cli, protocols
 from wiptsim.cli import _csv_rows
+from test_scenario import _valid_scenarios
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -248,13 +252,32 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
                 ProtocolControls(0.0, -0.0, 0.5, 0.5, 0.0)]
     points = [OperatingPoint(1.0 + i, -0.0 if i else 0.0, c, ProtocolId.D)
               for i, c in enumerate(controls)]
-    lines = list(_csv_rows(ProtocolId.D, points))
-    assert len(lines) == 4
+    lines = "".join(_csv_rows(ProtocolId.D, points)).split("\n")
+    assert len(lines) == 5 and lines[-1] == ""
     for line, p in zip(lines[1:], points):
         c = p.controls
         values = (c.alpha_nirl, c.tau_nirl, c.alpha_vl, c.tau_vl, c.rho_rf,
                   p.rate, p.harvested_power)
-        assert line == "d," + ",".join(format(v, ".8e") for v in values) + "\n"
+        assert line == "d," + ",".join(format(v, ".8e") for v in values)
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               2.225073858507201e-308, 1e308, -1e308,
+                               1.7976931348623157e308, float("inf"), float("-inf"),
+                               float("nan"), 0.5, 1 / 3, 9.999999995e-5])
+def test_percent_e_equals_format_e(v):
+    # _csv_rows formats rate and harvest with %-templates
+    assert "%.8e" % v == format(v, ".8e")
+
+
+def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    points = sweep(scenario, ProtocolId.C, 4).points
+    blocks = list(_csv_rows(ProtocolId.C, points))
+    assert all(block.endswith("\n") for block in blocks)
+    assert [block.count("\n") for block in blocks] == [1] + [7] * 9 + [1]  # 64 rows
+    monkeypatch.undo()
+    assert "".join(blocks) == "".join(_csv_rows(ProtocolId.C, points))
 
 
 def _hex(point):
@@ -351,3 +374,68 @@ def test_sweep_memory_per_point(scenario):
         tracemalloc.stop()
     assert len(region.points) == 41 ** 3
     assert peak / len(region.points) < 120
+
+
+def _cold_outcome(scenario, protocol, controls):
+    """A cold evaluate's (rate, harvest) hex, None when infeasible, or its error text."""
+    try:
+        point = evaluate(dataclasses.replace(scenario), protocol, controls)
+    except InfeasibleControlsError:
+        return None
+    except ScenarioValidationError as exc:
+        return str(exc)
+    return point.rate.hex(), point.harvested_power.hex()
+
+
+def _assert_sweeps_equal_cold_evaluate(s, grid):
+    grids = {protocol: list(enumerate_controls(protocol, grid)) for protocol in ProtocolId}
+    cold = {protocol: [_cold_outcome(s, protocol, c) for c in controls]
+            for protocol, controls in grids.items()}
+    # The seven sweeps run back to back on one scenario object, so later
+    # protocols read band terms the earlier ones memoised.
+    for protocol, controls in grids.items():
+        errors = [o for o in cold[protocol] if isinstance(o, str)]
+        if errors:  # the sweep stops at the first tuple that raises
+            with pytest.raises(ScenarioValidationError) as info:
+                sweep(s, protocol, grid)
+            assert str(info.value) == errors[0]
+            continue
+        # protocol c's rejected tuples are absent, every other tuple in order
+        want = [(*o, *(v.hex() for v in c)) for c, o in zip(controls, cold[protocol]) if o]
+        if not want:
+            with pytest.raises(DegenerateRegionError):
+                sweep(s, protocol, grid)
+            continue
+        got = [tuple(v.hex() for v in row) for row in sweep(s, protocol, grid).points.rows()]
+        assert got == want, protocol
+
+
+@st.composite
+def _sweep_scenarios(draw):
+    """A scenario of the round-trip strategy, small fading ensemble, maybe lux-gated."""
+    s = dataclasses.replace(draw(_valid_scenarios()), mc_samples=draw(st.integers(1, 200)))
+    if draw(st.booleans()):
+        full = illuminance_at(s.vl_bulb_power, s.luminous_efficacy, s.vl_geometry())
+        low, high = sorted(draw(st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2,
+                                         unique=True)))
+        if low * full < high * full:
+            s = dataclasses.replace(s, safety=dataclasses.replace(
+                s.safety, illuminance_min=low * full, illuminance_max=high * full))
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_scenarios(), st.integers(3, 5))
+def test_sweeps_of_random_scenarios_equal_cold_evaluate(s, grid):
+    _assert_sweeps_equal_cold_evaluate(s, grid)
+
+
+def test_sweep_equals_cold_evaluate_when_memos_evict(monkeypatch, lux_gated_scenario):
+    monkeypatch.setattr(protocols, "_MEMO_SIZE", 7)
+    s = dataclasses.replace(lux_gated_scenario)
+    _assert_sweeps_equal_cold_evaluate(s, 5)
+    last, bands = protocols._last_bands
+    assert last is s
+    memos = [m.cache_info() for m in (bands.lux, bands.nirl, bands.vl, bands.rf)]
+    assert all(info.maxsize == 7 for info in memos)
+    assert any(info.misses > info.currsize for info in memos)  # some term was evicted
