@@ -66,8 +66,7 @@ def _csv_rows(protocol, points):
     store = _Points.of(points, protocol)
     text = _ControlText()  # a grid has few distinct control levels
     for start in range(0, len(store), _CSV_BLOCK):
-        rate, harvest, *controls = (store.column(k)[start:start + _CSV_BLOCK]
-                                    for k in range(7))
+        rate, harvest, *controls = (c[start:start + _CSV_BLOCK] for c in store.columns)
         bits = np.stack([c.view(np.int64) for c in controls[:4]])
         changed = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
         runs = [0, *(np.flatnonzero(changed) + 1).tolist(), len(rate)]

@@ -18,7 +18,7 @@ bulb at the configured dim level with equal DC and AC parts.
 import enum
 import itertools
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -245,23 +245,27 @@ def _finite(band, kernel, *args):
                                   "the scenario's model constants are out of range")
 
 
-# Entries per band memo.  A grid-G sweep has at most G^2 distinct band
-# tuples (10,201 at the default grid 101), so one sweep never evicts.
+# Entries per memo.  A sweep reuses a lightwave term only along a free
+# rho_rf axis.  With rho_rf free, _MAX_SWEEP_TUPLES admits at most
+# 128**2 == 16,384 lightwave tuples (and 1,448 rho_rf levels), so such a
+# sweep never evicts; with rho_rf pinned it visits each lightwave tuple
+# once, so no memo size would help it.
 _MEMO_SIZE = 1 << 14
 
 
 class _Bands:
     """One scenario's band terms, memoised per band control tuple.
 
-    A band's (rate, harvested power) depends only on that band's controls:
-    NIRL on (alpha_nirl, tau_nirl), VL and protocol c's lux gate on
-    (alpha_vl, tau_vl), RF on rho_rf.  A sweep therefore computes each term
-    once per distinct band tuple, not once per grid point.  The memos are
-    bounded and closed over the scenario, so they die with this context.
-    The kernels are looked up in this module on every miss.
+    The lightwave memo maps a protocol row and (alpha_nirl, tau_nirl,
+    alpha_vl, tau_vl) to (lux violation or None, rate, harvested power),
+    the NIRL then the VL term added from 0.0 as evaluate adds them; the RF
+    memo maps (drive, rho_rf) to the RF term.  A sweep therefore computes
+    the terms once per distinct band tuple, not once per grid point.  The
+    memos are bounded and closed over the scenario, so they die with this
+    context.  The kernels are looked up in this module on every miss.
     """
 
-    __slots__ = ("lux", "nirl", "vl", "rf")
+    __slots__ = ("lightwave", "rf")
 
     def __init__(self, scenario):
         h_vl, h_nirl = _link_gains(scenario)
@@ -269,37 +273,36 @@ class _Bands:
         memo = lru_cache(maxsize=_MEMO_SIZE)
 
         @memo
-        def lux(alpha_vl, tau_vl):
-            return _lux_violation(scenario, alpha_vl, tau_vl)
-
-        @memo
-        def nirl(alpha, tau):
-            return _finite("NIRL", _lightwave_branch, scenario, nirl_budget, h_nirl, alpha, tau)
-
-        @memo
-        def vl(budget, alpha, tau):
-            return _finite("VL", _lightwave_branch, scenario, budget(scenario), h_vl, alpha, tau)
+        def lightwave(row, alpha_nirl, tau_nirl, alpha_vl, tau_vl):
+            if row.lux_gated:
+                violation = _lux_violation(scenario, alpha_vl, tau_vl)
+                if violation is not None:
+                    return violation, 0.0, 0.0
+            rate = 0.0
+            harvested = 0.0
+            if row.nirl:
+                r, e = _finite("NIRL", _lightwave_branch, scenario, nirl_budget, h_nirl,
+                               alpha_nirl, tau_nirl)
+                rate += r
+                harvested += e
+            if row.vl is not None:
+                r, e = _finite("VL", _lightwave_branch, scenario, row.vl(scenario), h_vl,
+                               alpha_vl, tau_vl)
+                rate += r
+                harvested += e
+            return None, rate, harvested
 
         @memo
         def rf(power, rho):
             return _finite("RF", _rf_branch, scenario, power(scenario), rho)
 
-        self.lux, self.nirl, self.vl, self.rf = lux, nirl, vl, rf
+        self.lightwave, self.rf = lightwave, rf
 
 
 # The last scenario and its band context, compared by identity so the
 # frozen Scenario is never hashed.  One tuple, replaced whole, so a reader
 # never pairs one scenario with another's context.
 _last_bands = (None, None)
-
-
-def _bands_for(scenario):
-    global _last_bands
-    last, bands = _last_bands
-    if last is not scenario:
-        bands = _Bands(scenario)
-        _last_bands = (scenario, bands)
-    return bands
 
 
 def evaluate(scenario, protocol, controls):
@@ -311,6 +314,7 @@ def evaluate(scenario, protocol, controls):
     ScenarioValidationError when a band term, or the sum of the bands,
     comes out inf or NaN.
     """
+    global _last_bands
     # A bare tuple would bypass the [0, 1] check of ProtocolControls.
     if type(controls) is not ProtocolControls:
         raise TypeError(f"controls must be a ProtocolControls, got {type(controls).__name__}")
@@ -318,23 +322,13 @@ def evaluate(scenario, protocol, controls):
     if row.pinned(controls) != row.pin_values:
         _check_pins(protocol, row.pins, controls)
     alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf = controls
-    bands = _bands_for(scenario)
-    if row.lux_gated:
-        violation = bands.lux(alpha_vl, tau_vl)
-        if violation is not None:
-            raise InfeasibleControlsError(violation)
-    rate = 0.0
-    harvested = 0.0
-
-    if row.nirl:
-        r, e = bands.nirl(alpha_nirl, tau_nirl)
-        rate += r
-        harvested += e
-
-    if row.vl is not None:
-        r, e = bands.vl(row.vl, alpha_vl, tau_vl)
-        rate += r
-        harvested += e
+    last, bands = _last_bands
+    if last is not scenario:
+        bands = _Bands(scenario)
+        _last_bands = (scenario, bands)
+    violation, rate, harvested = bands.lightwave(row, alpha_nirl, tau_nirl, alpha_vl, tau_vl)
+    if violation is not None:
+        raise InfeasibleControlsError(violation)
 
     if row.rf is not None:
         r, e = bands.rf(row.rf, rho_rf)
@@ -373,7 +367,15 @@ class _Grid:
 
     def __iter__(self):
         # enumerate_controls checked every level, so no tuple needs __new__
-        return map(partial(tuple.__new__, ProtocolControls), itertools.product(*self._axes))
+        return map(tuple.__new__, itertools.repeat(ProtocolControls),
+                   itertools.product(*self._axes))
+
+    def columns(self, skip):
+        """Each control's float64 column over the tuples in order, less the positions in skip."""
+        keep = np.ones(len(self), dtype=bool)
+        keep[skip] = False
+        views = np.meshgrid(*self._axes, indexing="ij", copy=False)
+        return tuple(view[keep.reshape(view.shape)] for view in views)
 
 
 def enumerate_controls(protocol, grid_points_per_axis):

@@ -22,51 +22,31 @@ class _Points:
 
     The columns hold the rate, the harvested power and the five controls
     in field order, 56 bytes a point.  ``OperatingPoint``s are built only
-    when the store is indexed or iterated, so a swept point's objects die
-    as soon as it is appended.
+    when the store is indexed or iterated.
     """
 
     __slots__ = ("protocol", "columns")
 
-    def __init__(self, protocol, columns=None):
+    def __init__(self, protocol, columns):
         self.protocol = protocol
-        self.columns = columns if columns is not None else tuple(array("d") for _ in range(7))
+        self.columns = columns
 
     @classmethod
     def of(cls, points, protocol):
         """``points`` itself when it is a store, else a store holding its points."""
         if isinstance(points, cls):
             return points
-        store = cls(protocol)
-        for point in points:
-            store.append(point)
-        return store
-
-    def append(self, point):
-        rate, harvest, (alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf), _ = point
-        columns = self.columns
-        columns[0].append(rate)
-        columns[1].append(harvest)
-        columns[2].append(alpha_nirl)
-        columns[3].append(tau_nirl)
-        columns[4].append(alpha_vl)
-        columns[5].append(tau_vl)
-        columns[6].append(rho_rf)
+        rows = [(p.rate, p.harvested_power, *p.controls) for p in points]
+        table = np.array(rows, dtype=np.float64)
+        return cls(protocol, tuple(table.reshape(-1, 7).T.copy()))
 
     def rows(self):
         """(rate, harvested power, five controls) float tuples, in order."""
-        return zip(*self.columns)
-
-    def column(self, k):
-        """Column k as a float64 ndarray sharing the store's memory."""
-        return np.frombuffer(self.columns[k], dtype=np.float64)
+        return zip(*map(memoryview, self.columns))  # boxes one row at a time
 
     def take(self, index):
         """A new store of the points at the given indices, in that order."""
-        taken = tuple(array("d") for _ in self.columns)
-        for k, out in enumerate(taken):
-            out.frombytes(self.column(k)[index].tobytes())
-        return _Points(self.protocol, taken)
+        return _Points(self.protocol, tuple(column[index] for column in self.columns))
 
     def _point(self, row):
         rate, harvest, *controls = row
@@ -81,12 +61,38 @@ class _Points:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return self._point(column[i] for column in self.columns)
+        return self._point([column.item(i) for column in self.columns])
 
     def __eq__(self, other):
         if not isinstance(other, _Points):
             return NotImplemented
-        return self.protocol == other.protocol and self.columns == other.columns
+        return self.protocol == other.protocol and all(
+            map(np.array_equal, self.columns, other.columns))
+
+
+class _Sink:
+    """A sweep's rates and harvested powers, and the grid positions it rejected.
+
+    Only these two floats are stored per swept tuple; the control columns
+    are built from the grid's axes once the sweep ends.
+    """
+
+    __slots__ = ("rate", "harvest", "rejected")
+
+    def __init__(self):
+        self.rate, self.harvest, self.rejected = array("d"), array("d"), []
+
+    def append(self, point):
+        self.rate.append(point[0])
+        self.harvest.append(point[1])
+
+    def reject(self):
+        self.rejected.append(len(self.rate) + len(self.rejected))
+
+    def store(self, protocol, grid):
+        """The swept points as a column store."""
+        swept = (np.frombuffer(self.rate), np.frombuffer(self.harvest))
+        return _Points(protocol, swept + grid.columns(self.rejected))
 
 
 class DegenerateRegionError(RuntimeError):
@@ -114,16 +120,18 @@ class RateEnergyRegion:
 
 def sweep(scenario, protocol, grid_points_per_axis):
     """Evaluate the full control grid; infeasible tuples are skipped."""
-    points = _Points(protocol)
-    for controls in enumerate_controls(protocol, grid_points_per_axis):
+    grid = enumerate_controls(protocol, grid_points_per_axis)
+    points = _Sink()
+    for controls in grid:
         try:
             points.append(evaluate(scenario, protocol, controls))
         except InfeasibleControlsError:
-            continue
-    if not points:
+            points.reject()
+    if not points.rate:
         raise DegenerateRegionError(
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
+    points = points.store(protocol, grid)
     return RateEnergyRegion(
         points=points,
         frontier=pareto(points),
@@ -155,7 +163,7 @@ def pareto(points):
     any other sequence gives a list of its own point objects.
     """
     if isinstance(points, _Points):
-        return points.take(_frontier(points.column(_RATE), points.column(_HARVEST)))
+        return points.take(_frontier(points.columns[_RATE], points.columns[_HARVEST]))
     points = list(points)
     rate = np.fromiter((p.rate for p in points), np.float64, len(points))
     harvest = np.fromiter((p.harvested_power for p in points), np.float64, len(points))
@@ -165,7 +173,7 @@ def pareto(points):
 def _column_max(region, k):
     if not region.points:
         raise DegenerateRegionError("region holds no points")
-    return float(region.points.column(k).max())
+    return float(region.points.columns[k].max())
 
 
 def max_rate(region):
@@ -185,8 +193,8 @@ def dominates(a, b):
     fast as a point q of b form a suffix, and q is dominated when the best
     harvest of that suffix reaches q's.
     """
-    a_rate, a_harvest = a.frontier.column(_RATE), a.frontier.column(_HARVEST)
-    b_rate, b_harvest = b.frontier.column(_RATE), b.frontier.column(_HARVEST)
+    a_rate, a_harvest = a.frontier.columns[_RATE], a.frontier.columns[_HARVEST]
+    b_rate, b_harvest = b.frontier.columns[_RATE], b.frontier.columns[_HARVEST]
     first = np.searchsorted(a_rate, b_rate)  # first point of a with rate >= q's
     if np.any(first == len(a_rate)):
         return False

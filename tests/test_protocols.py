@@ -29,7 +29,8 @@ from wiptsim import (
 )
 from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
-from wiptsim.protocols import _MAX_SWEEP_TUPLES, _SWEPT, _TABLE, _Protocol, _link_gains
+from wiptsim.protocols import (_MAX_SWEEP_TUPLES, _MEMO_SIZE, _SWEPT, _TABLE, _Protocol,
+                               _link_gains)
 
 
 def test_free_controls_map():
@@ -287,6 +288,22 @@ def test_enumerate_is_lazy_and_sized():
     small = enumerate_controls(ProtocolId.C, 3)
     assert list(small) == list(small)  # iterable more than once
     assert len(list(small)) == len(small) == 27
+
+
+def test_memos_hold_every_band_term_a_sweep_reuses():
+    # A sweep reuses a lightwave term only along a free rho_rf axis, and an
+    # RF term only across lightwave tuples; the largest admitted grid's
+    # reused terms must all fit, so such a sweep never evicts.
+    for protocol, row in _TABLE.items():
+        if "rho_rf" not in row.free:
+            continue
+        axes = len(row.free)
+        grid = round(_MAX_SWEEP_TUPLES ** (1 / axes))  # the largest admitted grid
+        while grid ** axes > _MAX_SWEEP_TUPLES:
+            grid -= 1
+        assert grid ** axes <= _MAX_SWEEP_TUPLES < (grid + 1) ** axes
+        assert grid ** (axes - 1) <= _MEMO_SIZE, protocol
+        assert axes == 1 or grid <= _MEMO_SIZE, protocol
 
 
 def test_sweep_budget_admits_grid_101_and_refuses_above_bound():

@@ -131,6 +131,30 @@ def test_sweep_degenerate_region(scenario):
         sweep(glaring, ProtocolId.C, 2)
 
 
+def test_sweep_builds_control_columns_from_the_grid(lux_gated_scenario):
+    # Protocol c at grid 21 rejects 5,418 tuples, among them the first and
+    # the last (frame-average drive 1.0, above 0.8x full drive).
+    grid = list(enumerate_controls(ProtocolId.C, 21))
+    kept = []
+    for controls in grid:
+        try:
+            evaluate(lux_gated_scenario, ProtocolId.C, controls)
+        except InfeasibleControlsError:
+            continue
+        kept.append(controls)
+    assert len(grid) - len(kept) == 5418
+    assert kept[0] != grid[0] and kept[-1] != grid[-1]
+    columns = sweep(lux_gated_scenario, ProtocolId.C, 21).points.columns
+    assert len(columns) == 7
+    assert all(c.dtype == np.float64 and c.flags.c_contiguous for c in columns)
+    # bit for bit: -0.0 and 0.0 differ as int64
+    got = np.stack(columns[2:], axis=1).view(np.int64)
+    assert np.array_equal(got, np.array(kept, dtype=np.float64).view(np.int64))
+    glaring = dataclasses.replace(lux_gated_scenario, luminous_efficacy=5000.0)
+    with pytest.raises(DegenerateRegionError):
+        sweep(glaring, ProtocolId.C, 21)
+
+
 def test_frontier_sorted_and_antichain(scenario):
     for protocol in (ProtocolId.A, ProtocolId.B, ProtocolId.VL_ONLY):
         region = sweep(scenario, protocol, 11)
@@ -436,6 +460,6 @@ def test_sweep_equals_cold_evaluate_when_memos_evict(monkeypatch, lux_gated_scen
     _assert_sweeps_equal_cold_evaluate(s, 5)
     last, bands = protocols._last_bands
     assert last is s
-    memos = [m.cache_info() for m in (bands.lux, bands.nirl, bands.vl, bands.rf)]
+    memos = [m.cache_info() for m in (bands.lightwave, bands.rf)]
     assert all(info.maxsize == 7 for info in memos)
-    assert any(info.misses > info.currsize for info in memos)  # some term was evicted
+    assert memos[0].misses > memos[0].currsize  # some lightwave term was evicted
