@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .region import _Points, DegenerateRegionError, dominates, max_energy, max_rate, sweep
+from .region import (_Points, DegenerateRegionError, _band_merge, dominates, max_energy,
+                     max_rate, sweep)
 from .protocols import _TABLE, ProtocolId, SweepBudgetError, enumerate_controls
 from .safety import evaluate_safety
 from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
@@ -135,29 +136,29 @@ def cmd_region(scenario, protocol, grid, out_path):
     return 0
 
 
-def _compare_row(protocol, region, baselines):
-    row = f"{protocol.value:<10}{len(region.points):>8}"
+def _compare_row(protocol, count, region, regions):
+    row = f"{protocol.value:<10}{count:>8}"
     row += f"{max_rate(region):>16.6e}{max_energy(region):>16.6e}"
     if protocol in _BASELINES:
         return row + "".join(f"{'-':>10}" for _ in _BASELINES)
     return row + "".join(
-        f"{'yes' if dominates(region, baselines[b]) else 'no':>10}" for b in _BASELINES
+        f"{'yes' if dominates(region, regions[b]) else 'no':>10}" for b in _BASELINES
     )
 
 
 def cmd_compare(scenario, grid):
-    # Baselines are swept first and kept; each combined region is reduced
-    # to its table row as soon as it is swept, so at most one large region
-    # is alive at a time.  Rows print once all are built, so a degenerate
-    # region prints nothing.
-    baselines = {}
+    # Baselines are swept; every other protocol is a lightwave term plus an
+    # RF term, so its frontier comes from the merge of its band frontiers.
+    # Rows print once all are built, so a degenerate region prints nothing.
+    regions = {}
     rows = {}
     for protocol in sorted(ProtocolId, key=lambda p: p not in _BASELINES):
-        region = sweep(scenario, protocol, grid)
         if protocol in _BASELINES:
-            baselines[protocol] = region
-        rows[protocol] = _compare_row(protocol, region, baselines)
-        del region  # before the next sweep allocates its points
+            regions[protocol] = sweep(scenario, protocol, grid)
+            count = len(regions[protocol].points)
+        else:
+            count, regions[protocol] = _band_merge(scenario, protocol, grid)
+        rows[protocol] = _compare_row(protocol, count, regions[protocol], regions)
     header = f"{'protocol':<10}{'points':>8}{'max_rate_bps':>16}{'max_energy_w':>16}"
     header += "".join(f"{'dom_' + b.value:>10}" for b in _BASELINES)
     print(header)

@@ -18,7 +18,7 @@ bulb at the configured dim level with equal DC and AC parts.
 import enum
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -378,13 +378,8 @@ class _Grid:
         return tuple(view[keep.reshape(view.shape)] for view in views)
 
 
-def enumerate_controls(protocol, grid_points_per_axis):
-    """Uniform [0, 1] Cartesian grid over the protocol's free control axes.
-
-    Returns a sized, re-iterable view of the grid.  Raises
-    SweepBudgetError, before any level is built, when the grid holds more
-    than _MAX_SWEEP_TUPLES tuples.
-    """
+def _axes(protocol, grid_points_per_axis):
+    """The protocol's five control axes, after the checks enumerate_controls names."""
     if grid_points_per_axis < 2:
         raise ValueError("grid_points_per_axis must be at least 2")
     row = _TABLE[protocol]
@@ -399,4 +394,35 @@ def enumerate_controls(protocol, grid_points_per_axis):
     # axes in the same order and yields full positional control tuples.
     axes = [levels if value is _SWEPT else (value,) for value in row.controls]
     _check_unit((name, value) for name, axis in zip(_CONTROL_NAMES, axes) for value in axis)
-    return _Grid(axes)
+    return axes
+
+
+def enumerate_controls(protocol, grid_points_per_axis):
+    """Uniform [0, 1] Cartesian grid over the protocol's free control axes.
+
+    Returns a sized, re-iterable view of the grid.  Raises
+    SweepBudgetError, before any level is built, when the grid holds more
+    than _MAX_SWEEP_TUPLES tuples.
+    """
+    return _Grid(_axes(protocol, grid_points_per_axis))
+
+
+def _band_terms(scenario, protocol, grid_points_per_axis):
+    """The lightwave terms, (lux violation or None, rate, harvested power) of
+    each lightwave tuple in grid order, and the RF terms of each rho_rf
+    level, or None when every lightwave tuple is rejected, of a protocol
+    that drives the RF band.  Only the RF terms are memoised: nothing reads
+    a lightwave term twice.
+    """
+    global _last_bands
+    *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
+    row = _TABLE[protocol]
+    last, bands = _last_bands
+    if last is not scenario:
+        bands = _Bands(scenario)
+        _last_bands = (scenario, bands)
+    lightwave = list(itertools.starmap(partial(bands.lightwave.__wrapped__, row),
+                                       itertools.product(*lightwave_axes)))
+    if all(violation is not None for violation, _, _ in lightwave):
+        return lightwave, None
+    return lightwave, [bands.rf(row.rf, rho) for rho in rho_levels]

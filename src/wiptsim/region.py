@@ -1,6 +1,7 @@
 """Rate-energy regions: exhaustive sweeps, Pareto frontiers, dominance."""
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +11,11 @@ from .protocols import (
     OperatingPoint,
     ProtocolControls,
     ProtocolId,
+    _band_terms,
     enumerate_controls,
     evaluate,
 )
+from .scenario import ScenarioValidationError
 
 _RATE, _HARVEST = 0, 1  # column indices; the five controls follow in field order
 
@@ -170,20 +173,20 @@ def pareto(points):
     return [points[i] for i in _frontier(rate, harvest)]
 
 
-def _column_max(region, k):
-    if not region.points:
+def _frontier_end(region, k, end):
+    if not region.frontier:
         raise DegenerateRegionError("region holds no points")
-    return float(region.points.columns[k].max())
+    return float(region.frontier.columns[k][end])
 
 
 def max_rate(region):
-    """Largest rate over the region's points."""
-    return _column_max(region, _RATE)
+    """Largest rate over the region's points: its last frontier point's."""
+    return _frontier_end(region, _RATE, -1)
 
 
 def max_energy(region):
-    """Largest harvested power over the region's points."""
-    return _column_max(region, _HARVEST)
+    """Largest harvested power over the region's points: its first frontier point's."""
+    return _frontier_end(region, _HARVEST, 0)
 
 
 def dominates(a, b):
@@ -200,3 +203,42 @@ def dominates(a, b):
         return False
     best_after = np.maximum.accumulate(a_harvest[::-1])[::-1]
     return bool(np.all(best_after[first] >= b_harvest))
+
+
+# A region known by its frontier's rate and harvest columns alone: all that
+# max_rate, max_energy and dominates read.  Its store holds no control columns.
+_FrontierOnly = namedtuple("_FrontierOnly", "frontier")
+
+
+def _band_merge(scenario, protocol, grid_points_per_axis):
+    """Point count and frontier-only region of a protocol that drives the RF band.
+
+    Each point is a lightwave term plus an RF term, and Pareto(A + B) lies
+    within Pareto(A) + Pareto(B) (Ehrgott, Multicriteria Optimization,
+    2005).  Correctly rounded addition never decreases when an addend
+    grows, so the sums of the band frontiers, added in evaluate's order,
+    have the full sweep's frontier values bit for bit.  Errors are sweep's.
+    """
+    try:
+        lightwave, rf = _band_terms(scenario, protocol, grid_points_per_axis)
+        if rf is None:
+            raise DegenerateRegionError(
+                f"every control tuple of protocol {protocol.value} is infeasible"
+            )
+        lightwave = np.array([term[1:] for term in lightwave if term[0] is None])
+        rf = np.array(rf)
+        # Every sum lies between the sums of the band minima and of the band
+        # maxima; Python floats overflow to inf without a numpy warning.
+        extrema = [np.concatenate([terms.min(0), terms.max(0)]).tolist()
+                   for terms in (lightwave, rf)]
+        if not np.isfinite([x + y for x, y in zip(*extrema)]).all():
+            raise ScenarioValidationError("the summed band terms are non-finite")
+    except ScenarioValidationError:
+        # the first failing tuple in grid order raises evaluate's own message
+        sweep(scenario, protocol, grid_points_per_axis)
+        raise AssertionError("the band terms failed, but the sweep did not") from None
+    count = len(lightwave) * len(rf)
+    lightwave, rf = (terms[_frontier(*terms.T)] for terms in (lightwave, rf))
+    sums = (lightwave[:, None, :] + rf[None, :, :]).reshape(-1, 2)
+    frontier = sums[_frontier(*sums.T)]
+    return count, _FrontierOnly(_Points(protocol, tuple(frontier.T)))

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiptsim import cli, default_scenario
+from wiptsim import ProtocolId, ScenarioValidationError, cli, default_scenario, sweep
 from wiptsim.cli import CSV_HEADER, main
-from wiptsim.scenario import _flat, _format_value
+from wiptsim.scenario import _flat, _format_value, parse_scenario
 
 
 @pytest.fixture
@@ -146,6 +146,14 @@ def test_compare_golden_stdout(default_file, capsys):
     assert digest == "76cc0e70ec9653ae6a042e02b318b2cba334bbbadbc7929051f313a13fb32e00"
 
 
+def test_compare_golden_stdout_at_the_default_grid(capsys):
+    # sha256 of the grid-101 table as the full sweep of every protocol printed it
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "default.toml"
+    assert main(["compare", str(path), "--grid", "101"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "a21a7745a64761dd0eaf099638cf1936341c753ccea2bd0c92c2955e660ff8cc"
+
+
 @pytest.fixture
 def overflowing_file(tmp_path):
     # valid by the scenario checks, but the optical harvest overflows to inf
@@ -222,7 +230,7 @@ def test_semi_angle_outside_domain_exits_1(tmp_path, monkeypatch, capsys, key, a
 _COMPARE = ["compare", "--grid", "3"]
 
 
-@pytest.mark.parametrize("text,argv,named", [
+_BAND_KERNEL_OVERFLOWS = [
     ("nirl_bulb_power = 1e200\n", _COMPARE, "the NIRL band yields OverflowError"),
     ("optical_filter_gain = 1e300\n", _COMPARE, "the VL band yields OverflowError"),
     ("pd_area = 1e300\n", _COMPARE, "the VL band yields OverflowError"),
@@ -231,12 +239,38 @@ _COMPARE = ["compare", "--grid", "3"]
     # refused before any band runs: the full-drive illuminance is inf
     ("vl_bulb_power = 1e308\n", ["region", "d", "--grid", "3"],
      "vl_bulb_power, luminous_efficacy and optical_distance make the full-drive illuminance"),
-], ids=["nirl_bulb_power", "optical_filter_gain", "pd_area", "vl_bulb_power-efficacy",
-        "vl_bulb_power-region-d"])
+]
+
+
+@pytest.mark.parametrize("text,argv,named", _BAND_KERNEL_OVERFLOWS, ids=[
+    "nirl_bulb_power", "optical_filter_gain", "pd_area", "vl_bulb_power-efficacy",
+    "vl_bulb_power-region-d"])
 def test_band_kernel_overflow_exits_1(tmp_path, monkeypatch, capsys, text, argv, named):
     # the squared AC photocurrent of a band overflows; it used to escape as a traceback
     err = _refuses_scenario(tmp_path, monkeypatch, capsys, text, argv)
     assert named in err
+
+
+def _first_sweep_error(text, grid):
+    """The message of the first sweep that raises, in compare's protocol order."""
+    scenario = parse_scenario(text)
+    for protocol in sorted(ProtocolId, key=lambda p: p not in cli._BASELINES):
+        try:
+            sweep(scenario, protocol, grid)
+        except ScenarioValidationError as exc:
+            return str(exc)
+    raise AssertionError("no sweep raised")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    "optical_bandwidth = 5e306\nrf_bandwidth = 5e306\n",  # the band sum overflows
+    *(text for text, argv, _ in _BAND_KERNEL_OVERFLOWS if argv == _COMPARE),
+], ids=lambda text: text.split(" =")[0])
+def test_compare_errors_are_the_sweeps_own(tmp_path, monkeypatch, capsys, text):
+    err = _refuses_scenario(tmp_path, monkeypatch, capsys, text, _COMPARE)
+    assert err == f"error: invalid scenario '{tmp_path / 'hostile.toml'}': " \
+                  f"{_first_sweep_error(text, 3)}\n"
 
 
 @pytest.mark.parametrize("argv", [["compare", "--grid", "3"], ["region", "d", "--grid", "3"],

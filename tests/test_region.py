@@ -26,6 +26,7 @@ from wiptsim import (
     sweep,
 )
 from wiptsim import cli, protocols
+from wiptsim import region as region_module
 from wiptsim.cli import _csv_rows
 from test_scenario import _valid_scenarios
 
@@ -463,3 +464,61 @@ def test_sweep_equals_cold_evaluate_when_memos_evict(monkeypatch, lux_gated_scen
     memos = [m.cache_info() for m in (bands.lightwave, bands.rf)]
     assert all(info.maxsize == 7 for info in memos)
     assert memos[0].misses > memos[0].currsize  # some lightwave term was evicted
+
+
+_TWO_TERM = (ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D)
+
+
+def test_compare_merges_the_protocols_that_drive_the_rf_band():
+    merged = tuple(p for p in ProtocolId if p not in cli._BASELINES)
+    assert merged == _TWO_TERM
+    assert all(protocols._TABLE[p].rf is not None for p in merged)
+
+
+def _assert_merge_equals_sweep(s, protocol, grid):
+    """The band merge's count, frontier values and maxima are sweep's, bit for bit."""
+    try:
+        count, merged = region_module._band_merge(s, protocol, grid)
+    except (ScenarioValidationError, DegenerateRegionError) as exc:
+        with pytest.raises(type(exc)) as info:
+            sweep(s, protocol, grid)
+        assert str(info.value) == str(exc)
+        return None
+    swept = sweep(s, protocol, grid)
+    assert count == len(swept.points)
+    for k in range(2):  # rate, then harvested power; -0.0 and 0.0 differ as int64
+        assert np.array_equal(merged.frontier.columns[k].view(np.int64),
+                              swept.frontier.columns[k].view(np.int64))
+    assert max_rate(merged) == max_rate(swept) == swept.points.columns[0].max()
+    assert max_energy(merged) == max_energy(swept) == swept.points.columns[1].max()
+    return count
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(_sweep_scenarios(), st.integers(2, 6))
+def test_band_merge_equals_sweep_on_random_scenarios(s, grid):
+    for protocol in _TWO_TERM:
+        _assert_merge_equals_sweep(s, protocol, grid)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [21, 41])
+@pytest.mark.parametrize("variant", ["default", "lux_gated"])
+def test_band_merge_equals_sweep(scenario, lux_gated_scenario, variant, grid):
+    s = scenario if variant == "default" else lux_gated_scenario
+    counts = {p: _assert_merge_equals_sweep(s, p, grid) for p in _TWO_TERM}
+    if (variant, grid) == ("lux_gated", 21):
+        assert counts[ProtocolId.C] == 21 ** 3 - 5418
+
+
+def test_band_merge_rejects_a_glaring_grid_before_any_rf_term(monkeypatch,
+                                                             lux_gated_scenario):
+    def no_rf(*args):
+        raise AssertionError("an RF term was computed")
+
+    monkeypatch.setattr(protocols, "_rf_branch", no_rf)
+    glaring = dataclasses.replace(lux_gated_scenario, luminous_efficacy=5000.0)
+    with pytest.raises(DegenerateRegionError,
+                       match="^every control tuple of protocol c is infeasible$"):
+        region_module._band_merge(glaring, ProtocolId.C, 21)
