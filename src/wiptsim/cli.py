@@ -1,14 +1,17 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
-Exit codes: 0 success; 1 scenario file problem: a key out of its range
-(such as a semi-angle outside the Lambertian domain), a fading ensemble
-above its budget, or keys that make a link gain, the full-drive
-illuminance, the per-device NIRL power, a band's rate or harvest, or
-their sum over the bands overflow or come out inf or NaN; 2 unknown
-protocol, --grid below 2 or above the sweep budget of 2**21 control
-tuples, or an --out that names no file ("", "." or "sub/.."), each
-refused before any sweep; 3 degenerate region; 4 safety verdict failed;
-5 the region's CSV pair could not be written."""
+Exit codes: 0 success; 1 scenario file problem: a key out of the range
+declared beside its default in scenario.py (such as a semi-angle outside
+the Lambertian domain), a fading ensemble above its budget, or keys that
+make a link gain, the full-drive illuminance, the per-device NIRL power,
+a band's rate or harvest, or their sum over the bands overflow or come
+out inf or NaN; 2 unknown protocol, --grid below 2 or above the sweep
+budget of 2**21 control tuples, or an --out that names no file ("", "."
+or "sub/.."), each refused before any sweep; 3 degenerate region; 4
+safety verdict failed; 5 the region's CSV pair could not be written.
+Of several bad keys, the error names the first in scenario.py's order:
+each sub-model's keys, then the others in file order, each check across
+keys after the keys it reads.  A file may begin with a byte-order mark."""
 
 import argparse
 import itertools

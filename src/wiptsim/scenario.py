@@ -1,13 +1,18 @@
 """Simulation configuration: defaults, validation, and the scenario file format.
 
-A scenario file is plain UTF-8 text with one ``key = value`` pair per line
-and ``#`` comments.  Keys match the field names below (the energy-harvest
-and safety sub-model fields live in the same flat namespace).  Angles are
-in degrees, powers in W, distances in m.  Unset keys fall back to the
-default scenario.
+A scenario file is plain UTF-8 text, a leading byte-order mark dropped,
+with one ``key = value`` pair per line and ``#`` comments.  Keys match the
+field names below (the energy-harvest and safety sub-model fields live in
+the same flat namespace).  Angles are in degrees, powers in W, distances in
+m.  Unset keys fall back to the default scenario.  Each key declares its
+valid range beside its default, in its ``_key``.  Of several bad keys, the
+first in this order is reported: each sub-model's keys (it is built first),
+then the scenario's keys in file order, then each check across keys, after
+the keys it reads.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,54 +38,86 @@ def dbm_to_watts(dbm):
     return 10.0 ** (dbm / 10.0 - 3.0)
 
 
-def _require_positive(obj, names, prefix=""):
-    """Reject any named field of obj that is not finite and positive."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ScenarioValidationError(
-                f"{prefix}{name} must be finite and positive, got {value}"
-            )
+# Fading-ensemble budget, checked before any draw.  A build costs about
+# 37 ns per channel entry plus 0.8 us per fading vector (one vdot and one
+# add), i.e. as much as _ENSEMBLE_VECTOR_ENTRIES entries (fitted over 1-128
+# antennas on a 2-vCPU host).  Bounding entries plus that per-vector share
+# makes the largest admitted ensemble take about 2 s at any antenna count.
+_ENSEMBLE_VECTOR_ENTRIES = 22
+_MAX_ENSEMBLE_COST = 50_000_000
+# Antennas per fading vector; bounds one 512-vector draw chunk to 16 MB.
+_MAX_RF_ANTENNAS = 1024
+
+
+def _rule(holds, must):
+    """A check raising '<key> must <must>' unless holds(value); {} in must is the value."""
+    def check(name, value):
+        if not holds(value):
+            raise ScenarioValidationError(f"{name} must {must.format(value)}")
+    return check
+
+
+_POSITIVE = _rule(lambda v: math.isfinite(v) and v > 0.0, "be finite and positive, got {}")
+_ANGLE = _rule(lambda v: 0.0 <= v < 90.0, "lie in [0, 90) degrees, got {}")
+_UNIT = _rule(lambda v: 0.0 < v <= 1.0, "lie in (0, 1], got {}")
+_AT_LEAST_ONE = _rule(lambda v: v >= 1, "be at least 1")
+_SEMI_ANGLE = functools.partial(check_semi_angle, error=ScenarioValidationError)
+
+
+def _key(default, *checks):
+    """A scenario key's default and the checks its value must pass, in order."""
+    return field(default=default, metadata={"checks": checks})
+
+
+@functools.cache
+def _declared_checks(cls):
+    """(key, check) for each check that cls's keys declare, in file order."""
+    return tuple((f.name, check) for f in dataclasses.fields(cls)
+                 for check in f.metadata.get("checks", ()))
+
+
+def _check_keys(obj, prefix=""):
+    """Run each key's own checks in file order; messages name it as prefix + key."""
+    for name, check in _declared_checks(type(obj)):
+        check(prefix + name, getattr(obj, name))
 
 
 @dataclass(frozen=True)
 class EhRfModel:
     """Logistic RF rectifier parameters: saturation level, steepness, turn-on."""
 
-    p_sat: float = 0.024
-    a: float = 150.0
-    b: float = 0.014
+    p_sat: float = _key(0.024, _POSITIVE)
+    a: float = _key(150.0, _POSITIVE)
+    b: float = _key(0.014, _POSITIVE)
 
     def __post_init__(self):
-        _require_positive(self, ("p_sat", "a", "b"), "eh_rf.")
+        _check_keys(self, "eh_rf.")
 
 
 @dataclass(frozen=True)
 class EhOpticalModel:
     """Photovoltaic open-circuit model constants."""
 
-    thermal_voltage: float = 0.025
-    dark_saturation_current: float = 1e-9
+    thermal_voltage: float = _key(0.025, _POSITIVE)
+    dark_saturation_current: float = _key(1e-9, _POSITIVE)
 
     def __post_init__(self):
-        _require_positive(self, ("thermal_voltage", "dark_saturation_current"), "eh_optical.")
+        _check_keys(self, "eh_optical.")
 
 
 @dataclass(frozen=True)
 class SafetyLimits:
     """Regulatory limits: SAR power budget, NIRL irradiance, VL illuminance."""
 
-    sar_power_budget: float = 4.8
-    sar_window: float = 360.0
-    nirl_irradiance_limit: float = 0.005
+    sar_power_budget: float = _key(4.8, _POSITIVE)
+    sar_window: float = _key(360.0, _POSITIVE)
+    nirl_irradiance_limit: float = _key(0.005, _POSITIVE)
     illuminance_min: float = 200.0
     illuminance_max: float = 1000.0
     nirl_beam_avoids_body: bool = True
 
     def __post_init__(self):
-        _require_positive(
-            self, ("sar_power_budget", "sar_window", "nirl_irradiance_limit"), "safety."
-        )
+        _check_keys(self, "safety.")
         if not self.illuminance_min < self.illuminance_max:
             raise ScenarioValidationError(
                 "safety.illuminance_min must be below safety.illuminance_max"
@@ -95,45 +132,55 @@ class Scenario:
     """
 
     # RF transmitter and channel
-    n_rf_antennas: int = 4
-    rf_total_tx_power: float = dbm_to_watts(20.0)
-    rf_wpt_tx_power: float = dbm_to_watts(16.0)
-    rician_k: float = 10.0 ** 0.6
-    pathloss_exponent: float = 2.6
-    rf_noise_power: float = 1e-12
-    rf_bandwidth: float = 1e7
+    n_rf_antennas: int = _key(4, _rule(lambda v: 1 <= v <= _MAX_RF_ANTENNAS,
+                                       f"lie in [1, {_MAX_RF_ANTENNAS}], got {{}}"))
+    rf_total_tx_power: float = _key(dbm_to_watts(20.0), _POSITIVE)
+    rf_wpt_tx_power: float = _key(dbm_to_watts(16.0), _POSITIVE)
+    rician_k: float = _key(10.0 ** 0.6, _rule(lambda v: math.isfinite(v) and v >= 0.0,
+                                              "be finite and nonnegative"))
+    pathloss_exponent: float = _key(2.6, _POSITIVE)
+    rf_noise_power: float = _key(1e-12, _POSITIVE)
+    rf_bandwidth: float = _key(1e7, _POSITIVE)
     # geometry
-    rf_distance: float = 4.0
-    optical_distance: float = 2.05
+    rf_distance: float = _key(4.0, _POSITIVE, _rule(
+        lambda v: v >= 1.0, "be at least 1 m, the path-loss reference distance, got {}"))
+    optical_distance: float = _key(2.05, _POSITIVE)
     # optical transmitters
-    vl_bulb_power: float = 22.0
-    vl_semi_angle: float = 60.0
-    nirl_bulb_power: float = 66.0
-    nirl_semi_angle: float = 15.0
-    n_devices: int = 3
-    incidence_angle_vl: float = 60.0
-    irradiance_angle_vl: float = 60.0
-    incidence_angle_nirl: float = 60.0
-    irradiance_angle_nirl: float = 0.0  # angle-diversity elements aim at the devices
+    vl_bulb_power: float = _key(22.0, _POSITIVE)
+    vl_semi_angle: float = _key(60.0, _SEMI_ANGLE)
+    nirl_bulb_power: float = _key(66.0, _POSITIVE)
+    nirl_semi_angle: float = _key(15.0, _SEMI_ANGLE)
+    n_devices: int = _key(3, _AT_LEAST_ONE)
+    incidence_angle_vl: float = _key(60.0, _ANGLE)
+    irradiance_angle_vl: float = _key(60.0, _ANGLE)
+    incidence_angle_nirl: float = _key(60.0, _ANGLE)
+    irradiance_angle_nirl: float = _key(0.0, _ANGLE)  # angle-diversity elements aim at the devices
     # photodetector and optical receive chain
-    pd_area: float = 85e-4
-    pd_responsivity: float = 0.4
-    pd_fill_factor: float = 0.75
-    optical_noise_power: float = 1e-15
-    optical_filter_gain: float = 1.0
-    optical_bandwidth: float = 1e8
+    pd_area: float = _key(85e-4, _POSITIVE)
+    pd_responsivity: float = _key(0.4, _UNIT)
+    pd_fill_factor: float = _key(0.75, _UNIT)
+    optical_noise_power: float = _key(1e-15, _POSITIVE)
+    optical_filter_gain: float = _key(1.0, _POSITIVE)
+    optical_bandwidth: float = _key(1e8, _POSITIVE)
     # energy-harvest models and safety limits
     eh_rf: EhRfModel = field(default_factory=EhRfModel)
     eh_optical: EhOpticalModel = field(default_factory=EhOpticalModel)
     safety: SafetyLimits = field(default_factory=SafetyLimits)
-    luminous_efficacy: float = 120.0
-    vl_dim_fraction: float = 0.1
+    luminous_efficacy: float = _key(120.0, _POSITIVE)
+    vl_dim_fraction: float = _key(0.1, _rule(lambda v: 0.0 < v < 1.0, "lie in (0, 1), got {}"))
     # Monte Carlo control
-    mc_samples: int = 1000
-    rng_seed: int = 42
+    mc_samples: int = _key(1000, _AT_LEAST_ONE)
+    rng_seed: int = _key(42, _rule(lambda v: v >= 0, "be nonnegative"))
 
     def __post_init__(self):
-        _validate(self)
+        _check_keys(self)
+        if self.mc_samples * (self.n_rf_antennas + _ENSEMBLE_VECTOR_ENTRIES) > _MAX_ENSEMBLE_COST:
+            raise ScenarioValidationError(
+                f"mc_samples * n_rf_antennas + {_ENSEMBLE_VECTOR_ENTRIES} * mc_samples must be "
+                f"at most {_MAX_ENSEMBLE_COST:,}, got {self.mc_samples:,} * "
+                f"({self.n_rf_antennas:,} + {_ENSEMBLE_VECTOR_ENTRIES})"
+            )
+        _check_derived(self)
 
     def vl_geometry(self):
         return OpticalGeometry(self.optical_distance, self.irradiance_angle_vl,
@@ -146,82 +193,6 @@ class Scenario:
     def nirl_power_per_device(self):
         """The angle-diversity bulb splits its power equally across devices."""
         return self.nirl_bulb_power / self.n_devices
-
-
-_POSITIVE_FIELDS = (
-    "rf_total_tx_power",
-    "rf_wpt_tx_power",
-    "pathloss_exponent",
-    "rf_noise_power",
-    "rf_bandwidth",
-    "rf_distance",
-    "optical_distance",
-    "vl_bulb_power",
-    "nirl_bulb_power",
-    "pd_area",
-    "optical_noise_power",
-    "optical_filter_gain",
-    "optical_bandwidth",
-    "luminous_efficacy",
-)
-_ANGLE_FIELDS = (
-    "incidence_angle_vl",
-    "irradiance_angle_vl",
-    "incidence_angle_nirl",
-    "irradiance_angle_nirl",
-)
-_UNIT_INTERVAL_FIELDS = ("pd_responsivity", "pd_fill_factor")
-# Fading-ensemble budget, checked before any draw.  A build costs about
-# 37 ns per channel entry plus 0.8 us per fading vector (one vdot and one
-# add), i.e. as much as _ENSEMBLE_VECTOR_ENTRIES entries (fitted over 1-128
-# antennas on a 2-vCPU host).  Bounding entries plus that per-vector share
-# makes the largest admitted ensemble take about 2 s at any antenna count.
-_ENSEMBLE_VECTOR_ENTRIES = 22
-_MAX_ENSEMBLE_COST = 50_000_000
-# Antennas per fading vector; bounds one 512-vector draw chunk to 16 MB.
-_MAX_RF_ANTENNAS = 1024
-
-
-def _validate(s):
-    if not 1 <= s.n_rf_antennas <= _MAX_RF_ANTENNAS:
-        raise ScenarioValidationError(
-            f"n_rf_antennas must lie in [1, {_MAX_RF_ANTENNAS}], got {s.n_rf_antennas}"
-        )
-    if s.n_devices < 1:
-        raise ScenarioValidationError("n_devices must be at least 1")
-    if s.mc_samples < 1:
-        raise ScenarioValidationError("mc_samples must be at least 1")
-    if s.mc_samples * (s.n_rf_antennas + _ENSEMBLE_VECTOR_ENTRIES) > _MAX_ENSEMBLE_COST:
-        raise ScenarioValidationError(
-            f"mc_samples * n_rf_antennas + {_ENSEMBLE_VECTOR_ENTRIES} * mc_samples must be "
-            f"at most {_MAX_ENSEMBLE_COST:,}, got {s.mc_samples:,} * "
-            f"({s.n_rf_antennas:,} + {_ENSEMBLE_VECTOR_ENTRIES})"
-        )
-    if s.rng_seed < 0:
-        raise ScenarioValidationError("rng_seed must be nonnegative")
-    if not (math.isfinite(s.rician_k) and s.rician_k >= 0.0):
-        raise ScenarioValidationError("rician_k must be finite and nonnegative")
-    _require_positive(s, _POSITIVE_FIELDS)
-    if s.rf_distance < 1.0:
-        raise ScenarioValidationError(
-            f"rf_distance must be at least 1 m, the path-loss reference distance, "
-            f"got {s.rf_distance}"
-        )
-    for name in _ANGLE_FIELDS:
-        value = getattr(s, name)
-        if not 0.0 <= value < 90.0:
-            raise ScenarioValidationError(f"{name} must lie in [0, 90) degrees, got {value}")
-    for name in ("vl_semi_angle", "nirl_semi_angle"):
-        check_semi_angle(name, getattr(s, name), ScenarioValidationError)
-    for name in _UNIT_INTERVAL_FIELDS:
-        value = getattr(s, name)
-        if not 0.0 < value <= 1.0:
-            raise ScenarioValidationError(f"{name} must lie in (0, 1], got {value}")
-    if not 0.0 < s.vl_dim_fraction < 1.0:
-        raise ScenarioValidationError(
-            f"vl_dim_fraction must lie in (0, 1), got {s.vl_dim_fraction}"
-        )
-    _check_derived(s)
 
 
 def _check_derived(s):
@@ -285,7 +256,7 @@ _DEFAULTS = {f.name: value for f, value in _flat(default_scenario())}
 def parse_scenario(text):
     """Parse scenario file contents; unset keys keep their default values."""
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiptsim import ProtocolId, ScenarioValidationError, cli, default_scenario, sweep
+from wiptsim import (ProtocolId, ScenarioParseError, ScenarioValidationError, cli, default_scenario,
+                     sweep)
 from wiptsim.cli import CSV_HEADER, main
 from wiptsim.scenario import _flat, _format_value, parse_scenario
 
@@ -197,6 +198,22 @@ def test_rf_distance_below_reference_exits_1(tmp_path, capsys):
     assert captured.err.startswith("error: invalid scenario")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert "rf_distance must be at least 1 m" in captured.err
+
+
+def test_a_file_saved_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "scenarios" / "default.toml").read_text()
+    plain, marked = tmp_path / "plain.toml", tmp_path / "marked.toml"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert parse_scenario(marked.read_text(encoding="utf-8")) == parse_scenario(text)
+    with pytest.raises(ScenarioParseError, match="unknown key '\ufeffrf_distance'"):
+        parse_scenario("\ufeff\ufeffrf_distance = 5.0\n")  # one mark is dropped, not two
+    reports = []
+    for path in (marked, plain):
+        assert main(["safety", str(path)]) == 4
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
 
 
 def _refuses_scenario(tmp_path, monkeypatch, capsys, text, argv):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,97 @@ def test_validation_names_field():
 def test_invariant_violations(line, field):
     with pytest.raises(ScenarioValidationError, match=field):
         parse_scenario(line + "\n")
+
+
+# One out-of-range value per key (the bool excepted), and the exact message
+# that a file holding only that line is refused with.
+_REFUSALS = {
+    "n_rf_antennas = 1025": "n_rf_antennas must lie in [1, 1024], got 1025",
+    "rf_total_tx_power = -1.0": "rf_total_tx_power must be finite and positive, got -1.0",
+    "rf_wpt_tx_power = inf": "rf_wpt_tx_power must be finite and positive, got inf",
+    "rician_k = -1.0": "rician_k must be finite and nonnegative",
+    "pathloss_exponent = 0.0": "pathloss_exponent must be finite and positive, got 0.0",
+    "rf_noise_power = -0.0": "rf_noise_power must be finite and positive, got -0.0",
+    "rf_bandwidth = -inf": "rf_bandwidth must be finite and positive, got -inf",
+    "rf_distance = 0.5":
+        "rf_distance must be at least 1 m, the path-loss reference distance, got 0.5",
+    "rf_distance = -4.0": "rf_distance must be finite and positive, got -4.0",
+    "optical_distance = 0.0": "optical_distance must be finite and positive, got 0.0",
+    "vl_bulb_power = -22.0": "vl_bulb_power must be finite and positive, got -22.0",
+    "vl_semi_angle = 0.5": "vl_semi_angle must lie in [1, 89] degrees, got 0.5",
+    "nirl_bulb_power = inf": "nirl_bulb_power must be finite and positive, got inf",
+    "nirl_semi_angle = 89.5": "nirl_semi_angle must lie in [1, 89] degrees, got 89.5",
+    "n_devices = 0": "n_devices must be at least 1",
+    "incidence_angle_vl = 90.0": "incidence_angle_vl must lie in [0, 90) degrees, got 90.0",
+    "irradiance_angle_vl = -1.0": "irradiance_angle_vl must lie in [0, 90) degrees, got -1.0",
+    "incidence_angle_nirl = inf": "incidence_angle_nirl must lie in [0, 90) degrees, got inf",
+    "irradiance_angle_nirl = -0.5":
+        "irradiance_angle_nirl must lie in [0, 90) degrees, got -0.5",
+    "pd_area = 0.0": "pd_area must be finite and positive, got 0.0",
+    "pd_responsivity = 1.5": "pd_responsivity must lie in (0, 1], got 1.5",
+    "pd_fill_factor = 0.0": "pd_fill_factor must lie in (0, 1], got 0.0",
+    "optical_noise_power = -1e-15": "optical_noise_power must be finite and positive, got -1e-15",
+    "optical_filter_gain = 0.0": "optical_filter_gain must be finite and positive, got 0.0",
+    "optical_bandwidth = inf": "optical_bandwidth must be finite and positive, got inf",
+    "p_sat = 0.0": "eh_rf.p_sat must be finite and positive, got 0.0",
+    "a = -150.0": "eh_rf.a must be finite and positive, got -150.0",
+    "b = inf": "eh_rf.b must be finite and positive, got inf",
+    "thermal_voltage = 0.0": "eh_optical.thermal_voltage must be finite and positive, got 0.0",
+    "dark_saturation_current = -1e-09":
+        "eh_optical.dark_saturation_current must be finite and positive, got -1e-09",
+    "sar_power_budget = inf": "safety.sar_power_budget must be finite and positive, got inf",
+    "sar_window = 0.0": "safety.sar_window must be finite and positive, got 0.0",
+    "nirl_irradiance_limit = -0.005":
+        "safety.nirl_irradiance_limit must be finite and positive, got -0.005",
+    "illuminance_min = 2000.0": "safety.illuminance_min must be below safety.illuminance_max",
+    "illuminance_max = 100.0": "safety.illuminance_min must be below safety.illuminance_max",
+    "luminous_efficacy = 0.0": "luminous_efficacy must be finite and positive, got 0.0",
+    "vl_dim_fraction = 1.0": "vl_dim_fraction must lie in (0, 1), got 1.0",
+    "mc_samples = 0": "mc_samples must be at least 1",
+    "mc_samples = 2000000": "mc_samples * n_rf_antennas + 22 * mc_samples must be at most "
+                            "50,000,000, got 2,000,000 * (4 + 22)",
+    "rng_seed = -1": "rng_seed must be nonnegative",
+}
+
+
+def _keys(cls=Scenario, prefix=""):
+    """(field, name as messages print it) of each key, in file order."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _keys(f.type, f"{f.name}.")
+        else:
+            yield f, prefix + f.name
+
+
+def test_each_key_refuses_out_of_range_values_with_its_own_message():
+    messages = {}
+    for line in _REFUSALS:
+        with pytest.raises(ScenarioValidationError) as refused:
+            parse_scenario(line + "\n")
+        messages[line] = str(refused.value)
+    assert messages == _REFUSALS
+    covered = {line.split(" = ")[0] for line in _REFUSALS}
+    assert covered == {f.name for f, _ in _keys() if f.type is not bool}
+    # every float key has a range, and it refuses nan naming the key
+    for f, name in _keys():
+        if f.type is float:
+            with pytest.raises(ScenarioValidationError, match=re.escape(name)):
+                parse_scenario(f"{f.name} = nan\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    # each sub-model checks its keys when it is built, before the scenario
+    ("rf_distance = 0.5\nsar_window = 0\np_sat = 0\n",
+     "eh_rf.p_sat must be finite and positive, got 0.0"),
+    # then the scenario's keys in file order, whatever order the file lists them in
+    ("vl_dim_fraction = 2\nrf_distance = 0.5\n", "rf_distance must be at least 1 m"),
+    # and a cross-key check only after every key it reads
+    ("luminous_efficacy = -1\nmc_samples = 99999999\n",
+     "luminous_efficacy must be finite and positive, got -1.0"),
+], ids=["sub_model_first", "file_order", "cross_key_last"])
+def test_several_bad_keys_report_the_first_in_file_order(text, message):
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}"):
+        parse_scenario(text)
 
 
 def test_render_parse_round_trip(scenario):
