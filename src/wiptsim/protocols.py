@@ -209,22 +209,19 @@ def _rf_branch(scenario, tx_power, rho):
     return rate, rf_harvest(rho * p_rx, scenario.eh_rf)
 
 
-def _vl_illuminance(scenario, fraction, geometry):
-    """Illuminance (lx) at the receiver plane with the VL bulb at a drive fraction."""
-    return illuminance_at(fraction * scenario.vl_bulb_power, scenario.luminous_efficacy, geometry)
+def _lux_violation(scenario, geometry, full, alpha_vl, tau_vl):
+    """Why a VL drive leaves the illuminance range, or None when it does not.
 
-
-def _lux_violation(scenario, alpha_vl, tau_vl):
-    """Why a VL drive leaves the illuminance range, or None when it does not."""
+    geometry is the VL link's, full the illuminance (lx) at full drive.
+    """
     # The eye averages over the frame, so the perceived level follows the
     # frame-average DC drive (the AC part has zero mean).
     avg_fraction = tau_vl * alpha_vl + (1.0 - tau_vl)
-    geometry = scenario.vl_geometry()
-    level = _vl_illuminance(scenario, avg_fraction, geometry)
+    level = illuminance_at(avg_fraction * scenario.vl_bulb_power, scenario.luminous_efficacy,
+                           geometry)
     limits = scenario.safety
     if level > limits.illuminance_max:
         return f"VL drive yields {level:.1f} lx, above {limits.illuminance_max} lx"
-    full = _vl_illuminance(scenario, 1.0, geometry)
     # The floor only binds when the bulb can reach it at all; otherwise the
     # shortfall is a property of the room, not of the control setting.
     if level < limits.illuminance_min <= full:
@@ -261,8 +258,10 @@ class _Bands:
     the NIRL then the VL term added from 0.0 as evaluate adds them; the RF
     memo maps (drive, rho_rf) to the RF term.  A sweep therefore computes
     the terms once per distinct band tuple, not once per grid point.  The
-    memos are bounded and closed over the scenario, so they die with this
-    context.  The kernels are looked up in this module on every miss.
+    memos are bounded and closed over the scenario and the constants derived
+    from it once (link gains, NIRL budget, VL geometry and full-drive
+    illuminance), so they die with this context.  The kernels are looked up
+    in this module on every miss.
     """
 
     __slots__ = ("lightwave", "rf")
@@ -270,12 +269,14 @@ class _Bands:
     def __init__(self, scenario):
         h_vl, h_nirl = _link_gains(scenario)
         nirl_budget = scenario.nirl_power_per_device()
+        vl_geometry = scenario.vl_geometry()
+        full_lux = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, vl_geometry)
         memo = lru_cache(maxsize=_MEMO_SIZE)
 
         @memo
         def lightwave(row, alpha_nirl, tau_nirl, alpha_vl, tau_vl):
             if row.lux_gated:
-                violation = _lux_violation(scenario, alpha_vl, tau_vl)
+                violation = _lux_violation(scenario, vl_geometry, full_lux, alpha_vl, tau_vl)
                 if violation is not None:
                     return violation, 0.0, 0.0
             rate = 0.0
@@ -411,16 +412,12 @@ def _band_terms(scenario, protocol, grid_points_per_axis):
     """The lightwave terms, (lux violation or None, rate, harvested power) of
     each lightwave tuple in grid order, and the RF terms of each rho_rf
     level, or None when every lightwave tuple is rejected, of a protocol
-    that drives the RF band.  Only the RF terms are memoised: nothing reads
-    a lightwave term twice.
+    that drives the RF band.  The band context is its own, not evaluate's,
+    and only its RF terms are memoised: nothing reads a lightwave term twice.
     """
-    global _last_bands
     *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
     row = _TABLE[protocol]
-    last, bands = _last_bands
-    if last is not scenario:
-        bands = _Bands(scenario)
-        _last_bands = (scenario, bands)
+    bands = _Bands(scenario)
     lightwave = list(itertools.starmap(partial(bands.lightwave.__wrapped__, row),
                                        itertools.product(*lightwave_axes)))
     if all(violation is not None for violation, _, _ in lightwave):

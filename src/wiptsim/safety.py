@@ -8,8 +8,7 @@ standards phrase their limits as maxima.
 
 from dataclasses import dataclass
 
-from .channel_optical import irradiance_at
-from .protocols import _vl_illuminance
+from .channel_optical import illuminance_at, irradiance_at
 
 ILLUMINANCE_WITHIN = "within"
 ILLUMINANCE_BELOW = "below"
@@ -49,7 +48,8 @@ def check_irradiance(scenario, body_geometry):
 def check_illuminance(scenario, dim_mode):
     """Classify the VL illuminance at the receiver plane against the range."""
     fraction = scenario.vl_dim_fraction if dim_mode else 1.0
-    level = _vl_illuminance(scenario, fraction, scenario.vl_geometry())
+    level = illuminance_at(fraction * scenario.vl_bulb_power, scenario.luminous_efficacy,
+                           scenario.vl_geometry())
     if level < scenario.safety.illuminance_min:
         cls = ILLUMINANCE_BELOW
     elif level > scenario.safety.illuminance_max:

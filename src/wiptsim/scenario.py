@@ -61,6 +61,7 @@ _POSITIVE = _rule(lambda v: math.isfinite(v) and v > 0.0, "be finite and positiv
 _ANGLE = _rule(lambda v: 0.0 <= v < 90.0, "lie in [0, 90) degrees, got {}")
 _UNIT = _rule(lambda v: 0.0 < v <= 1.0, "lie in (0, 1], got {}")
 _AT_LEAST_ONE = _rule(lambda v: v >= 1, "be at least 1")
+_INTEGER = _rule(lambda v: type(v) is int, "be an integer, got {!r}")  # no bool, no numpy int
 _SEMI_ANGLE = functools.partial(check_semi_angle, error=ScenarioValidationError)
 
 
@@ -132,8 +133,8 @@ class Scenario:
     """
 
     # RF transmitter and channel
-    n_rf_antennas: int = _key(4, _rule(lambda v: 1 <= v <= _MAX_RF_ANTENNAS,
-                                       f"lie in [1, {_MAX_RF_ANTENNAS}], got {{}}"))
+    n_rf_antennas: int = _key(4, _INTEGER, _rule(lambda v: 1 <= v <= _MAX_RF_ANTENNAS,
+                                                 f"lie in [1, {_MAX_RF_ANTENNAS}], got {{}}"))
     rf_total_tx_power: float = _key(dbm_to_watts(20.0), _POSITIVE)
     rf_wpt_tx_power: float = _key(dbm_to_watts(16.0), _POSITIVE)
     rician_k: float = _key(10.0 ** 0.6, _rule(lambda v: math.isfinite(v) and v >= 0.0,
@@ -150,7 +151,7 @@ class Scenario:
     vl_semi_angle: float = _key(60.0, _SEMI_ANGLE)
     nirl_bulb_power: float = _key(66.0, _POSITIVE)
     nirl_semi_angle: float = _key(15.0, _SEMI_ANGLE)
-    n_devices: int = _key(3, _AT_LEAST_ONE)
+    n_devices: int = _key(3, _INTEGER, _AT_LEAST_ONE)
     incidence_angle_vl: float = _key(60.0, _ANGLE)
     irradiance_angle_vl: float = _key(60.0, _ANGLE)
     incidence_angle_nirl: float = _key(60.0, _ANGLE)
@@ -169,8 +170,8 @@ class Scenario:
     luminous_efficacy: float = _key(120.0, _POSITIVE)
     vl_dim_fraction: float = _key(0.1, _rule(lambda v: 0.0 < v < 1.0, "lie in (0, 1), got {}"))
     # Monte Carlo control
-    mc_samples: int = _key(1000, _AT_LEAST_ONE)
-    rng_seed: int = _key(42, _rule(lambda v: v >= 0, "be nonnegative"))
+    mc_samples: int = _key(1000, _INTEGER, _AT_LEAST_ONE)
+    rng_seed: int = _key(42, _INTEGER, _rule(lambda v: v >= 0, "be nonnegative"))
 
     def __post_init__(self):
         _check_keys(self)

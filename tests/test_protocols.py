@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from wiptsim import (
     enumerate_controls,
     evaluate,
     free_controls,
+    illuminance_at,
     lightwave_rate,
     mean_rf_received_power,
     optical_harvest,
@@ -229,6 +231,25 @@ def test_protocol_c_default_room_never_rejects(scenario):
     # not attributed to the controls
     for controls in enumerate_controls(ProtocolId.C, 5):
         evaluate(scenario, ProtocolId.C, controls)
+
+
+def test_protocol_c_lux_gate_at_its_exact_boundaries(scenario):
+    def level(drive):
+        return illuminance_at(drive * scenario.vl_bulb_power, scenario.luminous_efficacy,
+                              scenario.vl_geometry())
+
+    def kept(illuminance_min, illuminance_max):
+        limits = dataclasses.replace(scenario.safety, illuminance_min=illuminance_min,
+                                     illuminance_max=illuminance_max)
+        return len(sweep(dataclasses.replace(scenario, safety=limits), ProtocolId.C, 5).points)
+
+    full = level(1.0)
+    # the floor binds only when full drive reaches it; a level at the floor passes
+    assert kept(full, 2 * full) == 45
+    assert kept(math.nextafter(full, math.inf), 2 * full) == 125
+    # a level at the ceiling passes; one a double above it is rejected
+    assert kept(1.0, level(0.5)) == 25
+    assert kept(1.0, math.nextafter(level(0.5), -math.inf)) == 15
 
 
 def test_protocol_d_dim_drive(scenario):

@@ -512,6 +512,24 @@ def test_band_merge_equals_sweep(scenario, lux_gated_scenario, variant, grid):
         assert counts[ProtocolId.C] == 21 ** 3 - 5418
 
 
+def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_scenario):
+    other = dataclasses.replace(scenario, nirl_bulb_power=40.0, rf_distance=6.0)
+    grid = 5
+
+    def merged():
+        count, region = region_module._band_merge(lux_gated_scenario, ProtocolId.C, grid)
+        return count, [column.view(np.int64).tolist() for column in region.frontier.columns[:2]]
+
+    first = merged()
+    swept = sweep(other, ProtocolId.D, grid).points.rows()
+    cold = dataclasses.replace(other)  # a scenario no context was built for
+    assert [tuple(v.hex() for v in row[:2]) for row in swept] == [
+        tuple(v.hex() for v in evaluate(cold, ProtocolId.D, controls)[:2])
+        for controls in enumerate_controls(ProtocolId.D, grid)]
+    assert merged() == first
+    assert protocols._last_bands[0] is cold  # the merge left evaluate's context alone
+
+
 def test_band_merge_rejects_a_glaring_grid_before_any_rf_term(monkeypatch,
                                                              lux_gated_scenario):
     def no_rf(*args):

@@ -2,6 +2,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +229,17 @@ def test_each_key_refuses_out_of_range_values_with_its_own_message():
         if f.type is float:
             with pytest.raises(ScenarioValidationError, match=re.escape(name)):
                 parse_scenario(f"{f.name} = nan\n")
+
+
+def test_integer_keys_refuse_every_value_that_is_not_an_int(scenario):
+    # a file cannot carry these values (the parser calls int()); the API can
+    integer_keys = [name for f, name in _keys() if f.type is int]
+    assert integer_keys == ["n_rf_antennas", "n_devices", "mc_samples", "rng_seed"]
+    for key in integer_keys:
+        for value in (2.5, True, np.int64(4)):
+            with pytest.raises(ScenarioValidationError) as refused:
+                dataclasses.replace(scenario, **{key: value})
+            assert str(refused.value) == f"{key} must be an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("text,message", [
