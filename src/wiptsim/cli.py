@@ -1,14 +1,16 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
-Exit codes: 0 success; 1 scenario file problem: a key out of the range
-declared beside its default in scenario.py (such as a semi-angle outside
-the Lambertian domain), a fading ensemble above its budget, or keys that
-make a link gain, the full-drive illuminance, the per-device NIRL power,
-a band's rate or harvest, or their sum over the bands overflow or come
-out inf or NaN; 2 unknown protocol, --grid below 2 or above the sweep
-budget of 2**21 control tuples, or an --out that names no file ("", "."
-or "sub/.."), each refused before any sweep; 3 degenerate region; 4
-safety verdict failed; 5 the region's CSV pair could not be written.
+Exit codes: 0 success; 1 scenario file problem: a file that cannot be
+read or is not UTF-8, a key out of the range declared beside its default
+in scenario.py (such as a semi-angle outside the Lambertian domain), a
+fading ensemble above its budget, or keys that make a link gain, the
+full-drive illuminance, the per-device NIRL power, a band's rate or
+harvest, or their sum over the bands overflow or come out inf or NaN;
+2 unknown protocol, --grid below 2 or above the sweep budget of 2**21
+control tuples (compare counts the baselines' tuples, so it admits grid
+1448 at most), or an --out that names no file ("", "." or "sub/.."),
+each refused before any sweep; 3 degenerate region; 4 safety verdict
+failed; 5 the region's CSV pair could not be written.
 Of several bad keys, the error names the first in scenario.py's order:
 each sub-model's keys, then the others in file order, each check across
 keys after the keys it reads.  A file may begin with a byte-order mark."""
@@ -34,11 +36,6 @@ _PROTOCOLS = {p.value: p for p in ProtocolId}
 _BASELINES = tuple(p for p in ProtocolId if sum(_TABLE[p].bands_on()) == 1)
 
 CSV_HEADER = "protocol,alpha_nirl,tau_nirl,alpha_vl,tau_vl,rho_rf,rate_bps,harvested_w"
-
-
-def _load_scenario(path):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_scenario(text)
 
 
 class _ControlText(dict):
@@ -118,15 +115,10 @@ def _write_together(outputs):
         raise
 
 
-def _frontier_path(out_path):
-    out = Path(out_path)
-    stem = out.name[:-4] if out.name.endswith(".csv") else out.name
-    return out.with_name(stem + ".frontier.csv")
-
-
 def cmd_region(scenario, protocol, grid, out_path):
     region = sweep(scenario, protocol, grid)
-    frontier_path = _frontier_path(out_path)
+    out = Path(out_path)
+    frontier_path = out.with_name(out.name.removesuffix(".csv") + ".frontier.csv")
     try:
         _write_together([(out_path, _csv_rows(protocol, region.points)),
                          (frontier_path, _csv_rows(protocol, region.frontier))])
@@ -150,23 +142,14 @@ def _compare_row(protocol, count, region, regions):
 
 
 def cmd_compare(scenario, grid):
-    # Baselines are swept; every other protocol is a lightwave term plus an
-    # RF term, so its frontier comes from the merge of its band frontiers.
-    # Rows print once all are built, so a degenerate region prints nothing.
-    regions = {}
-    rows = {}
-    for protocol in sorted(ProtocolId, key=lambda p: p not in _BASELINES):
-        if protocol in _BASELINES:
-            regions[protocol] = sweep(scenario, protocol, grid)
-            count = len(regions[protocol].points)
-        else:
-            count, regions[protocol] = _band_merge(scenario, protocol, grid)
-        rows[protocol] = _compare_row(protocol, count, regions[protocol], regions)
+    # Rows print once every region is built, so a degenerate region prints nothing.
+    merged = {protocol: _band_merge(scenario, protocol, grid) for protocol in ProtocolId}
+    regions = {protocol: region for protocol, (_, region) in merged.items()}
     header = f"{'protocol':<10}{'points':>8}{'max_rate_bps':>16}{'max_energy_w':>16}"
     header += "".join(f"{'dom_' + b.value:>10}" for b in _BASELINES)
     print(header)
-    for protocol in ProtocolId:
-        print(rows[protocol])
+    for protocol, (count, region) in merged.items():
+        print(_compare_row(protocol, count, region, regions))
     return 0
 
 
@@ -214,8 +197,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        scenario = _load_scenario(args.scenario)
-    except OSError as exc:
+        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario file '{args.scenario}': {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
@@ -239,9 +222,11 @@ def main(argv=None):
         if Path(out_path).name in ("", ".."):
             print(f"error: --out must name a file, got '{out_path}'", file=sys.stderr)
             return 2
-    # Refuse an oversized grid before any sweep starts; compare checks all
-    # its protocols first, so it never sweeps the ones below the bound.
-    for checked in ((protocol,) if args.command == "region" else ProtocolId):
+    # Refuse an oversized grid before any sweep starts.  compare builds no
+    # more band terms for a protocol than a baseline has tuples, so it checks
+    # the baselines; that bounds its term count, not its memory, which its
+    # per-term storage and merge candidates set (see _MAX_SWEEP_TUPLES).
+    for checked in ((protocol,) if args.command == "region" else _BASELINES):
         try:
             enumerate_controls(checked, args.grid)
         except SweepBudgetError as exc:

@@ -18,7 +18,7 @@ bulb at the configured dim level with equal DC and AC parts.
 import enum
 import itertools
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -242,12 +242,22 @@ def _finite(band, kernel, *args):
                                   "the scenario's model constants are out of range")
 
 
-# Entries per memo.  A sweep reuses a lightwave term only along a free
-# rho_rf axis.  With rho_rf free, _MAX_SWEEP_TUPLES admits at most
-# 128**2 == 16,384 lightwave tuples (and 1,448 rho_rf levels), so such a
-# sweep never evicts; with rho_rf pinned it visits each lightwave tuple
-# once, so no memo size would help it.
-_MEMO_SIZE = 1 << 14
+class SweepBudgetError(ValueError):
+    """A control grid holds more tuples than one sweep may evaluate."""
+
+
+# Control tuples one sweep may evaluate.  A swept point keeps 56 bytes of
+# float64 columns, so the largest admitted region holds about 117 MB; the
+# bound admits grid 128 on three free axes (128**3 == 2**21).  compare's
+# band terms cost more a term, so this bounds their count, not its memory.
+_MAX_SWEEP_TUPLES = 1 << 21
+
+# Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
+# reuses a lightwave term only on consecutive tuples (the lightwave memo
+# holds one) and the RF terms of every rho_rf level across lightwave
+# tuples.  A sweep that reuses them has at least two free axes, so at
+# most isqrt(_MAX_SWEEP_TUPLES) == 1,448 rho_rf levels, and never evicts.
+_MEMO_SIZE = math.isqrt(_MAX_SWEEP_TUPLES)
 
 
 class _Bands:
@@ -257,8 +267,9 @@ class _Bands:
     alpha_vl, tau_vl) to (lux violation or None, rate, harvested power),
     the NIRL then the VL term added from 0.0 as evaluate adds them; the RF
     memo maps (drive, rho_rf) to the RF term.  A sweep therefore computes
-    the terms once per distinct band tuple, not once per grid point.  The
-    memos are bounded and closed over the scenario and the constants derived
+    the terms once per distinct band tuple, not once per grid point; the
+    lightwave memo holds only the last term (see _MEMO_SIZE).  The memos
+    are bounded and closed over the scenario and the constants derived
     from it once (link gains, NIRL budget, VL geometry and full-drive
     illuminance), so they die with this context.  The kernels are looked up
     in this module on every miss.
@@ -271,9 +282,8 @@ class _Bands:
         nirl_budget = scenario.nirl_power_per_device()
         vl_geometry = scenario.vl_geometry()
         full_lux = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, vl_geometry)
-        memo = lru_cache(maxsize=_MEMO_SIZE)
 
-        @memo
+        @lru_cache(maxsize=1)
         def lightwave(row, alpha_nirl, tau_nirl, alpha_vl, tau_vl):
             if row.lux_gated:
                 violation = _lux_violation(scenario, vl_geometry, full_lux, alpha_vl, tau_vl)
@@ -293,7 +303,7 @@ class _Bands:
                 harvested += e
             return None, rate, harvested
 
-        @memo
+        @lru_cache(maxsize=_MEMO_SIZE)
         def rf(power, rho):
             return _finite("RF", _rf_branch, scenario, power(scenario), rho)
 
@@ -345,16 +355,6 @@ def evaluate(scenario, protocol, controls):
     return tuple.__new__(OperatingPoint, (rate, harvested, controls, protocol))
 
 
-class SweepBudgetError(ValueError):
-    """A control grid holds more tuples than one sweep may evaluate."""
-
-
-# Control tuples one sweep may evaluate.  A swept point keeps 56 bytes of
-# float64 columns, so the largest admitted region holds about 117 MB; the
-# bound admits grid 128 on three free axes (128**3 == 2**21).
-_MAX_SWEEP_TUPLES = 1 << 21
-
-
 class _Grid:
     """A protocol's control tuples, built one at a time as they are iterated."""
 
@@ -380,16 +380,10 @@ class _Grid:
 
 
 def _axes(protocol, grid_points_per_axis):
-    """The protocol's five control axes, after the checks enumerate_controls names."""
+    """The protocol's five control axes, each level checked against [0, 1]."""
     if grid_points_per_axis < 2:
         raise ValueError("grid_points_per_axis must be at least 2")
     row = _TABLE[protocol]
-    tuples = grid_points_per_axis ** len(row.free)
-    if tuples > _MAX_SWEEP_TUPLES:
-        raise SweepBudgetError(
-            f"protocol {protocol.value} at grid {grid_points_per_axis} has {tuples:,} "
-            f"control tuples; a sweep may evaluate at most {_MAX_SWEEP_TUPLES:,}"
-        )
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
     # A pinned axis is a one-level axis, so the product runs over the free
     # axes in the same order and yields full positional control tuples.
@@ -405,21 +399,52 @@ def enumerate_controls(protocol, grid_points_per_axis):
     SweepBudgetError, before any level is built, when the grid holds more
     than _MAX_SWEEP_TUPLES tuples.
     """
+    # a grid below 2 counts as one tuple here, and is _axes' error
+    tuples = max(grid_points_per_axis, 1) ** len(_TABLE[protocol].free)
+    if tuples > _MAX_SWEEP_TUPLES:
+        raise SweepBudgetError(
+            f"protocol {protocol.value} at grid {grid_points_per_axis} has {tuples:,} "
+            f"control tuples; a sweep may evaluate at most {_MAX_SWEEP_TUPLES:,}"
+        )
     return _Grid(_axes(protocol, grid_points_per_axis))
 
 
 def _band_terms(scenario, protocol, grid_points_per_axis):
-    """The lightwave terms, (lux violation or None, rate, harvested power) of
-    each lightwave tuple in grid order, and the RF terms of each rho_rf
-    level, or None when every lightwave tuple is rejected, of a protocol
-    that drives the RF band.  The band context is its own, not evaluate's,
-    and only its RF terms are memoised: nothing reads a lightwave term twice.
+    """The (rate, harvested power) rows of a protocol that drives the RF
+    band: one per feasible lightwave tuple in grid order, and one per
+    rho_rf level, or None when every lightwave tuple is rejected.  Where a
+    band term or sum is inf or NaN, evaluate raises its own error at the
+    first such grid tuple, as a sweep would, replaying the rho_rf levels of
+    one lightwave tuple.  The band context is its own, not evaluate's.
     """
     *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
     row = _TABLE[protocol]
     bands = _Bands(scenario)
-    lightwave = list(itertools.starmap(partial(bands.lightwave.__wrapped__, row),
-                                       itertools.product(*lightwave_axes)))
-    if all(violation is not None for violation, _, _ in lightwave):
-        return lightwave, None
-    return lightwave, [bands.rf(row.rf, rho) for rho in rho_levels]
+    lightwave, rf = [], []
+    try:
+        for values in itertools.product(*lightwave_axes):
+            lightwave.append(bands.lightwave(row, *values))
+    except ScenarioValidationError:  # kept as inf, so each sum with it fails
+        lightwave.append((None, math.inf, math.inf))
+    feasible = np.array([term[0] is None for term in lightwave])
+    if not feasible.any():
+        return feasible, None
+    try:
+        for rho in rho_levels:
+            rf.append(bands.rf(row.rf, rho))
+    except ScenarioValidationError:
+        rf.append((math.inf, math.inf))
+    terms, rf = np.array([term[1:] for term in lightwave]), np.array(rf)
+    # Correctly rounded addition never decreases when an addend grows, so a
+    # lightwave term's sums with the RF minima and maxima bound its others.
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(terms + rf.min(0)) & np.isfinite(terms + rf.max(0))
+    failing = feasible & ~finite.all(1)
+    if not failing.any():
+        return terms[feasible], rf
+    # Each lightwave tuple before the first failing one is rejected or has
+    # only finite sums, so the first failing grid tuple is among its own.
+    values = next(itertools.islice(itertools.product(*lightwave_axes), failing.argmax(), None))
+    for rho in rho_levels:
+        evaluate(scenario, protocol, tuple.__new__(ProtocolControls, (*values, rho)))
+    raise AssertionError("a band sum failed, but evaluate did not")

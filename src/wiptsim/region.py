@@ -11,11 +11,11 @@ from .protocols import (
     OperatingPoint,
     ProtocolControls,
     ProtocolId,
+    _TABLE,
     _band_terms,
     enumerate_controls,
     evaluate,
 )
-from .scenario import ScenarioValidationError
 
 _RATE, _HARVEST = 0, 1  # column indices; the five controls follow in field order
 
@@ -205,38 +205,30 @@ def dominates(a, b):
     return bool(np.all(best_after[first] >= b_harvest))
 
 
-# A region known by its frontier's rate and harvest columns alone: all that
-# max_rate, max_energy and dominates read.  Its store holds no control columns.
+# A region known by its frontier alone, whose rate and harvest columns are all
+# that max_rate, max_energy and dominates read (a merged one holds no others).
 _FrontierOnly = namedtuple("_FrontierOnly", "frontier")
 
 
 def _band_merge(scenario, protocol, grid_points_per_axis):
-    """Point count and frontier-only region of a protocol that drives the RF band.
+    """Point count and frontier-only region of a protocol.
 
-    Each point is a lightwave term plus an RF term, and Pareto(A + B) lies
-    within Pareto(A) + Pareto(B) (Ehrgott, Multicriteria Optimization,
-    2005).  Correctly rounded addition never decreases when an addend
-    grows, so the sums of the band frontiers, added in evaluate's order,
-    have the full sweep's frontier values bit for bit.  Errors are sweep's.
+    A protocol without the RF band is swept.  Each point of any other is a
+    lightwave term plus an RF term (rf's lightwave term is (0.0, 0.0)), and
+    Pareto(A + B) lies within Pareto(A) + Pareto(B) (Ehrgott, Multicriteria
+    Optimization, 2005).  Correctly rounded addition never decreases when
+    an addend grows, so the sums of the band frontiers, added in evaluate's
+    order, have the full sweep's frontier values bit for bit.  Errors are
+    sweep's.
     """
-    try:
-        lightwave, rf = _band_terms(scenario, protocol, grid_points_per_axis)
-        if rf is None:
-            raise DegenerateRegionError(
-                f"every control tuple of protocol {protocol.value} is infeasible"
-            )
-        lightwave = np.array([term[1:] for term in lightwave if term[0] is None])
-        rf = np.array(rf)
-        # Every sum lies between the sums of the band minima and of the band
-        # maxima; Python floats overflow to inf without a numpy warning.
-        extrema = [np.concatenate([terms.min(0), terms.max(0)]).tolist()
-                   for terms in (lightwave, rf)]
-        if not np.isfinite([x + y for x, y in zip(*extrema)]).all():
-            raise ScenarioValidationError("the summed band terms are non-finite")
-    except ScenarioValidationError:
-        # the first failing tuple in grid order raises evaluate's own message
-        sweep(scenario, protocol, grid_points_per_axis)
-        raise AssertionError("the band terms failed, but the sweep did not") from None
+    if _TABLE[protocol].rf is None:
+        region = sweep(scenario, protocol, grid_points_per_axis)
+        return len(region.points), _FrontierOnly(region.frontier)
+    lightwave, rf = _band_terms(scenario, protocol, grid_points_per_axis)
+    if rf is None:
+        raise DegenerateRegionError(
+            f"every control tuple of protocol {protocol.value} is infeasible"
+        )
     count = len(lightwave) * len(rf)
     lightwave, rf = (terms[_frontier(*terms.T)] for terms in (lightwave, rf))
     sums = (lightwave[:, None, :] + rf[None, :, :]).reshape(-1, 2)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import os
 import resource
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiptsim import (ProtocolId, ScenarioParseError, ScenarioValidationError, cli, default_scenario,
-                     sweep)
+from wiptsim import (ProtocolControls, ProtocolId, ScenarioParseError, ScenarioValidationError, cli,
+                     default_scenario, evaluate, protocols, sweep)
 from wiptsim.cli import CSV_HEADER, main
+from wiptsim.protocols import _TABLE
 from wiptsim.scenario import _flat, _format_value, parse_scenario
 
 
@@ -57,6 +59,20 @@ def test_region_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.toml")
     assert main(["region", missing, "rf"]) == 1
     assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["safety"], ["compare", "--grid", "3"], ["region", "rf"]],
+                         ids=["safety", "compare", "region"])
+def test_scenario_file_not_utf8_exits_1(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "bad.toml"
+    path.write_bytes(b"rf_distance = 5.0\n\377\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read scenario file '{path}': 'utf-8' codec can't "
+                            "decode byte 0xff in position 18: invalid start byte\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.toml"]
 
 
 def test_region_invalid_scenario(tmp_path, capsys):
@@ -271,7 +287,7 @@ def test_band_kernel_overflow_exits_1(tmp_path, monkeypatch, capsys, text, argv,
 def _first_sweep_error(text, grid):
     """The message of the first sweep that raises, in compare's protocol order."""
     scenario = parse_scenario(text)
-    for protocol in sorted(ProtocolId, key=lambda p: p not in cli._BASELINES):
+    for protocol in ProtocolId:
         try:
             sweep(scenario, protocol, grid)
         except ScenarioValidationError as exc:
@@ -396,11 +412,14 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("command", [["region", "d", "--out", "d.csv"], ["compare"]],
-                         ids=["region", "compare"])
-def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command):
+@pytest.mark.parametrize("command,grid,tuples", [
     # grid 1001 on three free axes would be 10**9 control tuples
-    argv = [command[0], default_file, *command[1:], "--grid", "1001"]
+    (["region", "d", "--out", "d.csv"], 1001, "protocol d at grid 1001 has 1,003,003,001"),
+    # compare builds no more terms than a baseline has tuples
+    (["compare"], 1449, "protocol vl at grid 1449 has 2,099,601"),
+], ids=["region", "compare"])
+def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command, grid, tuples):
+    argv = [command[0], default_file, *command[1:], "--grid", str(grid)]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "wiptsim.cli", *argv], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
@@ -408,9 +427,47 @@ def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command
                           preexec_fn=_limit_memory)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: protocol ") and proc.stderr.count("\n") == 1
-    assert "1,003,003,001 control tuples" in proc.stderr
+    assert proc.stderr.startswith(f"error: {tuples} control tuples")
+    assert proc.stderr.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
+
+
+def test_compare_admits_every_grid_its_baselines_admit(default_file, capsys):
+    # c and d would sweep 129**3 tuples, above the budget; compare builds
+    # only their 129**2 lightwave terms and 129 RF terms
+    grid = 129
+    assert main(["compare", default_file, "--grid", str(grid)]) == 0
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+    assert int(rows["c"].split()[1]) == int(rows["d"].split()[1]) == grid ** 3 == 2_146_689
+    scenario = parse_scenario("")
+    swept = {p: sweep(scenario, p, grid) for p in (*cli._BASELINES, ProtocolId.A, ProtocolId.B)}
+    for protocol in (ProtocolId.A, ProtocolId.B):
+        region = swept[protocol]
+        assert rows[protocol.value] == cli._compare_row(protocol, len(region.points), region,
+                                                        swept)
+
+
+def test_compare_above_grid_128_reports_the_first_failing_sum(tmp_path, monkeypatch, capsys):
+    # only d adds a NIRL and a VL rate; each is finite, their sum is not.
+    # d's 129**3 tuples are over the sweep budget, so the error must come
+    # from the band terms, as evaluate reports it at the first failing tuple
+    text = "optical_bandwidth = 8e306\n"
+    scenario = parse_scenario(text)
+    grid = itertools.product(*protocols._axes(ProtocolId.D, 129))  # sweep's order, no budget
+    with pytest.raises(ScenarioValidationError) as first:
+        for controls in grid:
+            evaluate(scenario, ProtocolId.D, ProtocolControls(*controls))
+    err = _refuses_scenario(tmp_path, monkeypatch, capsys, text, ["compare", "--grid", "129"])
+    assert err.endswith(f": {first.value}\n")
+    assert "the summed band terms are non-finite: (rate, harvested power) = (inf, " in err
+
+
+def test_compare_budget_bounds_every_term_it_builds():
+    # main checks only the baselines' grids for compare: no other protocol
+    # may have more lightwave axes than a baseline has free axes
+    widest = max(len(_TABLE[b].free) for b in cli._BASELINES)
+    for protocol, row in _TABLE.items():
+        assert len(set(row.free) - {"rho_rf"}) <= widest, protocol
 
 
 def test_safety_default_reports_and_fails_on_lighting(default_file, capsys):

@@ -31,8 +31,8 @@ from wiptsim import (
 )
 from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
-from wiptsim.protocols import (_MAX_SWEEP_TUPLES, _MEMO_SIZE, _SWEPT, _TABLE, _Protocol,
-                               _link_gains)
+from wiptsim.protocols import (_CONTROL_NAMES, _MAX_SWEEP_TUPLES, _MEMO_SIZE, _SWEPT, _TABLE,
+                               _Protocol, _link_gains)
 
 
 def test_free_controls_map():
@@ -312,19 +312,23 @@ def test_enumerate_is_lazy_and_sized():
 
 
 def test_memos_hold_every_band_term_a_sweep_reuses():
-    # A sweep reuses a lightwave term only along a free rho_rf axis, and an
-    # RF term only across lightwave tuples; the largest admitted grid's
-    # reused terms must all fit, so such a sweep never evicts.
+    # rho_rf is the grid's fastest axis, so a sweep reuses a lightwave term
+    # only on consecutive tuples (the lightwave memo holds one), and an RF
+    # term only across lightwave tuples, which takes a second free axis.
+    # Every rho_rf level of the largest admitted grid of such a protocol
+    # must fit in the RF memo, so such a sweep never evicts.
+    assert _CONTROL_NAMES[-1] == "rho_rf"
+    assert _MEMO_SIZE == 1448
     for protocol, row in _TABLE.items():
-        if "rho_rf" not in row.free:
-            continue
         axes = len(row.free)
+        if "rho_rf" not in row.free or axes == 1:
+            continue
         grid = round(_MAX_SWEEP_TUPLES ** (1 / axes))  # the largest admitted grid
         while grid ** axes > _MAX_SWEEP_TUPLES:
             grid -= 1
         assert grid ** axes <= _MAX_SWEEP_TUPLES < (grid + 1) ** axes
-        assert grid ** (axes - 1) <= _MEMO_SIZE, protocol
-        assert axes == 1 or grid <= _MEMO_SIZE, protocol
+        assert grid <= _MEMO_SIZE, protocol
+    assert _MEMO_SIZE ** 2 <= _MAX_SWEEP_TUPLES < (_MEMO_SIZE + 1) ** 2
 
 
 def test_sweep_budget_admits_grid_101_and_refuses_above_bound():

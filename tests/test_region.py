@@ -23,6 +23,7 @@ from wiptsim import (
     max_energy,
     max_rate,
     pareto,
+    parse_scenario,
     sweep,
 )
 from wiptsim import cli, protocols
@@ -456,23 +457,39 @@ def test_sweeps_of_random_scenarios_equal_cold_evaluate(s, grid):
 
 
 def test_sweep_equals_cold_evaluate_when_memos_evict(monkeypatch, lux_gated_scenario):
-    monkeypatch.setattr(protocols, "_MEMO_SIZE", 7)
+    # three entries for five rho_rf levels: the RF memo evicts on every lookup
+    monkeypatch.setattr(protocols, "_MEMO_SIZE", 3)
     s = dataclasses.replace(lux_gated_scenario)
     _assert_sweeps_equal_cold_evaluate(s, 5)
     last, bands = protocols._last_bands
     assert last is s
-    memos = [m.cache_info() for m in (bands.lightwave, bands.rf)]
-    assert all(info.maxsize == 7 for info in memos)
-    assert memos[0].misses > memos[0].currsize  # some lightwave term was evicted
+    rf = bands.rf.cache_info()
+    assert (rf.maxsize, rf.currsize, rf.hits) == (3, 3, 0)
+    assert rf.misses > rf.currsize  # some RF term was evicted
 
 
-_TWO_TERM = (ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D)
+def test_sweep_computes_each_band_term_once_and_holds_one_lightwave_term(scenario):
+    s = dataclasses.replace(scenario)  # a scenario no context was built for
+    sweep(s, ProtocolId.D, 21)
+    last, bands = protocols._last_bands
+    assert last is s
+    lightwave, rf = bands.lightwave.cache_info(), bands.rf.cache_info()
+    assert (lightwave.misses, lightwave.currsize, lightwave.maxsize) == (21 ** 2, 1, 1)
+    assert (rf.misses, rf.currsize) == (21, 21)
 
 
-def test_compare_merges_the_protocols_that_drive_the_rf_band():
-    merged = tuple(p for p in ProtocolId if p not in cli._BASELINES)
-    assert merged == _TWO_TERM
-    assert all(protocols._TABLE[p].rf is not None for p in merged)
+def test_compare_merges_the_protocols_that_drive_the_rf_band(monkeypatch, scenario, capsys):
+    swept = []
+
+    def recording_sweep(s, protocol, grid):
+        swept.append(protocol)
+        return sweep(s, protocol, grid)
+
+    for module in (cli, region_module):
+        monkeypatch.setattr(module, "sweep", recording_sweep)
+    assert cli.cmd_compare(scenario, 5) == 0
+    assert swept == [p for p in ProtocolId if protocols._TABLE[p].rf is None]
+    assert swept == [ProtocolId.VL_ONLY, ProtocolId.NIRL_ONLY]
 
 
 def _assert_merge_equals_sweep(s, protocol, grid):
@@ -498,7 +515,7 @@ def _assert_merge_equals_sweep(s, protocol, grid):
 @settings(max_examples=100, deadline=None)
 @given(_sweep_scenarios(), st.integers(2, 6))
 def test_band_merge_equals_sweep_on_random_scenarios(s, grid):
-    for protocol in _TWO_TERM:
+    for protocol in ProtocolId:
         _assert_merge_equals_sweep(s, protocol, grid)
 
 
@@ -507,9 +524,24 @@ def test_band_merge_equals_sweep_on_random_scenarios(s, grid):
 @pytest.mark.parametrize("variant", ["default", "lux_gated"])
 def test_band_merge_equals_sweep(scenario, lux_gated_scenario, variant, grid):
     s = scenario if variant == "default" else lux_gated_scenario
-    counts = {p: _assert_merge_equals_sweep(s, p, grid) for p in _TWO_TERM}
+    counts = {p: _assert_merge_equals_sweep(s, p, grid) for p in ProtocolId}
     if (variant, grid) == ("lux_gated", 21):
         assert counts[ProtocolId.C] == 21 ** 3 - 5418
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text,raising", [
+    # only d adds a NIRL and a VL rate; each is finite, their sum is not
+    ("optical_bandwidth = 8e306\n", ["d"]),
+    # the lightwave plus RF sums overflow
+    ("optical_bandwidth = 5e306\nrf_bandwidth = 5e306\n", ["a", "b", "c", "d"]),
+    # every RF term raises, and NIRL terms from the first alpha_nirl above
+    # 0: d's first failing tuple is at an RF term, b's at a NIRL term
+    ("nirl_bulb_power = 1e200\nrf_bandwidth = 1e308\n", ["rf", "nirl", "a", "b", "c", "d"]),
+], ids=["lightwave-sum", "band-sum", "rf-before-nirl"])
+def test_band_merge_raises_the_sweeps_first_error(text, raising):
+    s = parse_scenario(text)
+    assert [p.value for p in ProtocolId if _assert_merge_equals_sweep(s, p, 5) is None] == raising
 
 
 def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_scenario):
