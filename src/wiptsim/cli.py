@@ -223,9 +223,8 @@ def main(argv=None):
             print(f"error: --out must name a file, got '{out_path}'", file=sys.stderr)
             return 2
     # Refuse an oversized grid before any sweep starts.  compare builds no
-    # more band terms for a protocol than a baseline has tuples, so it checks
-    # the baselines; that bounds its term count, not its memory, which its
-    # per-term storage and merge candidates set (see _MAX_SWEEP_TUPLES).
+    # more band terms (16 bytes each) for a protocol than a baseline has
+    # tuples, so it checks the baselines.
     for checked in ((protocol,) if args.command == "region" else _BASELINES):
         try:
             enumerate_controls(checked, args.grid)

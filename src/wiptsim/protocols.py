@@ -18,6 +18,7 @@ bulb at the configured dim level with equal DC and AC parts.
 import enum
 import itertools
 import math
+from contextlib import suppress
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -209,16 +210,20 @@ def _rf_branch(scenario, tx_power, rho):
     return rate, rf_harvest(rho * p_rx, scenario.eh_rf)
 
 
+def _lux_level(scenario, geometry, alpha_vl, tau_vl):
+    """Illuminance (lx) of a VL drive, of floats or arrays: the eye averages over the
+    frame, so the level follows the frame-average DC drive (the AC part has zero mean)."""
+    avg_fraction = tau_vl * alpha_vl + (1.0 - tau_vl)
+    return illuminance_at(avg_fraction * scenario.vl_bulb_power, scenario.luminous_efficacy,
+                          geometry)
+
+
 def _lux_violation(scenario, geometry, full, alpha_vl, tau_vl):
     """Why a VL drive leaves the illuminance range, or None when it does not.
 
     geometry is the VL link's, full the illuminance (lx) at full drive.
     """
-    # The eye averages over the frame, so the perceived level follows the
-    # frame-average DC drive (the AC part has zero mean).
-    avg_fraction = tau_vl * alpha_vl + (1.0 - tau_vl)
-    level = illuminance_at(avg_fraction * scenario.vl_bulb_power, scenario.luminous_efficacy,
-                           geometry)
+    level = _lux_level(scenario, geometry, alpha_vl, tau_vl)
     limits = scenario.safety
     if level > limits.illuminance_max:
         return f"VL drive yields {level:.1f} lx, above {limits.illuminance_max} lx"
@@ -248,8 +253,8 @@ class SweepBudgetError(ValueError):
 
 # Control tuples one sweep may evaluate.  A swept point keeps 56 bytes of
 # float64 columns, so the largest admitted region holds about 117 MB; the
-# bound admits grid 128 on three free axes (128**3 == 2**21).  compare's
-# band terms cost more a term, so this bounds their count, not its memory.
+# bound admits grid 128 on three free axes (128**3 == 2**21), and as many
+# of compare's band terms, kept as float64 pairs at 16 bytes a term.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
@@ -409,39 +414,55 @@ def enumerate_controls(protocol, grid_points_per_axis):
     return _Grid(_axes(protocol, grid_points_per_axis))
 
 
+def _lightwave_terms(scenario, optical_budget, gain, alphas, taus):
+    """A band's (rate, harvested power) over (alpha, tau), one kernel call per
+    alpha; NaN where the kernels raised, as evaluate fails there at every tau."""
+    terms = np.full((2, len(alphas), len(taus)), math.nan)
+    for k, alpha in enumerate(alphas):
+        with suppress(ArithmeticError):
+            terms[:, k] = _lightwave_branch(scenario, optical_budget, gain, alpha, taus)
+    return terms
+
+
+@np.errstate(all="ignore")
 def _band_terms(scenario, protocol, grid_points_per_axis):
-    """The (rate, harvested power) rows of a protocol that drives the RF
-    band: one per feasible lightwave tuple in grid order, and one per
-    rho_rf level, or None when every lightwave tuple is rejected.  Where a
-    band term or sum is inf or NaN, evaluate raises its own error at the
-    first such grid tuple, as a sweep would, replaying the rho_rf levels of
-    one lightwave tuple.  The band context is its own, not evaluate's.
+    """(feasible, lightwave, rf) of a protocol that drives the RF band: c's lux
+    gate's mask over the lightwave tuples in grid order, their (rate, harvested
+    power) rows, NIRL then VL added from 0.0 as evaluate adds them, and the
+    rho_rf levels' rows, or None for both when every tuple is rejected.  The
+    first grid tuple whose term or sum is inf or NaN raises evaluate's error.
     """
     *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
+    alpha_nirl, tau_nirl, alpha_vl, tau_vl = lightwave_axes  # alphas stay floats for the kernels
     row = _TABLE[protocol]
-    bands = _Bands(scenario)
-    lightwave, rf = [], []
-    try:
-        for values in itertools.product(*lightwave_axes):
-            lightwave.append(bands.lightwave(row, *values))
-    except ScenarioValidationError:  # kept as inf, so each sum with it fails
-        lightwave.append((None, math.inf, math.inf))
-    feasible = np.array([term[0] is None for term in lightwave])
+    feasible = np.ones(tuple(map(len, lightwave_axes)), dtype=bool)
+    if row.lux_gated:
+        geometry, limits = scenario.vl_geometry(), scenario.safety
+        full = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, geometry)
+        level = _lux_level(scenario, geometry, np.array(alpha_vl)[:, None], np.array(tau_vl))
+        feasible &= ~((level > limits.illuminance_max)
+                      | ((level < limits.illuminance_min) & (limits.illuminance_min <= full)))
     if not feasible.any():
-        return feasible, None
-    try:
-        for rho in rho_levels:
-            rf.append(bands.rf(row.rf, rho))
-    except ScenarioValidationError:
-        rf.append((math.inf, math.inf))
-    terms, rf = np.array([term[1:] for term in lightwave]), np.array(rf)
+        return feasible.ravel(), None, None
+    h_vl, h_nirl = _link_gains(scenario)
+    terms = np.zeros((2, *feasible.shape))  # (rate or harvest, *lightwave tuple)
+    if row.nirl:
+        terms += _lightwave_terms(scenario, scenario.nirl_power_per_device(), h_nirl,
+                                  alpha_nirl, np.array(tau_nirl))[..., None, None]
+    if row.vl is not None:
+        terms += _lightwave_terms(scenario, row.vl(scenario), h_vl, alpha_vl,
+                                  np.array(tau_vl))[:, None, None]
+    rf = np.full((len(rho_levels), 2), math.inf)  # kept where it raised, so each sum fails
+    with suppress(ScenarioValidationError):
+        for k, rho in enumerate(rho_levels):
+            rf[k] = _finite("RF", _rf_branch, scenario, row.rf(scenario), rho)
+    feasible, terms = feasible.ravel(), terms.reshape(2, -1).T
     # Correctly rounded addition never decreases when an addend grows, so a
     # lightwave term's sums with the RF minima and maxima bound its others.
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(terms + rf.min(0)) & np.isfinite(terms + rf.max(0))
+    finite = np.isfinite(terms + rf.min(0)) & np.isfinite(terms + rf.max(0))
     failing = feasible & ~finite.all(1)
     if not failing.any():
-        return terms[feasible], rf
+        return feasible, terms, rf
     # Each lightwave tuple before the first failing one is rejected or has
     # only finite sums, so the first failing grid tuple is among its own.
     values = next(itertools.islice(itertools.product(*lightwave_axes), failing.argmax(), None))

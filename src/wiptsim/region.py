@@ -224,13 +224,13 @@ def _band_merge(scenario, protocol, grid_points_per_axis):
     if _TABLE[protocol].rf is None:
         region = sweep(scenario, protocol, grid_points_per_axis)
         return len(region.points), _FrontierOnly(region.frontier)
-    lightwave, rf = _band_terms(scenario, protocol, grid_points_per_axis)
+    feasible, lightwave, rf = _band_terms(scenario, protocol, grid_points_per_axis)
     if rf is None:
         raise DegenerateRegionError(
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
-    count = len(lightwave) * len(rf)
-    lightwave, rf = (terms[_frontier(*terms.T)] for terms in (lightwave, rf))
+    count = int(feasible.sum()) * len(rf)
+    lightwave, rf = (terms[_frontier(*terms.T)] for terms in (lightwave[feasible], rf))
     sums = (lightwave[:, None, :] + rf[None, :, :]).reshape(-1, 2)
     frontier = sums[_frontier(*sums.T)]
     return count, _FrontierOnly(_Points(protocol, tuple(frontier.T)))

@@ -33,6 +33,7 @@ from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
 from wiptsim.protocols import (_CONTROL_NAMES, _MAX_SWEEP_TUPLES, _MEMO_SIZE, _SWEPT, _TABLE,
                                _Protocol, _link_gains)
+from wiptsim.region import _band_merge
 
 
 def test_free_controls_map():
@@ -241,7 +242,11 @@ def test_protocol_c_lux_gate_at_its_exact_boundaries(scenario):
     def kept(illuminance_min, illuminance_max):
         limits = dataclasses.replace(scenario.safety, illuminance_min=illuminance_min,
                                      illuminance_max=illuminance_max)
-        return len(sweep(dataclasses.replace(scenario, safety=limits), ProtocolId.C, 5).points)
+        s = dataclasses.replace(scenario, safety=limits)
+        count = len(sweep(s, ProtocolId.C, 5).points)
+        # compare's array gate keeps the same tuples as the per-tuple gate
+        assert _band_merge(s, ProtocolId.C, 5)[0] == count
+        return count
 
     full = level(1.0)
     # the floor binds only when full drive reaches it; a level at the floor passes

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiptsim import (
@@ -542,6 +543,66 @@ def test_band_merge_equals_sweep(scenario, lux_gated_scenario, variant, grid):
 def test_band_merge_raises_the_sweeps_first_error(text, raising):
     s = parse_scenario(text)
     assert [p.value for p in ProtocolId if _assert_merge_equals_sweep(s, p, 5) is None] == raising
+
+
+def _looped_band_terms(s, protocol, grid):
+    """_band_terms' outcome, from evaluate's band memos one tuple at a time."""
+    row, bands = protocols._TABLE[protocol], protocols._Bands(s)
+    *lightwave_axes, rho_levels = protocols._axes(protocol, grid)
+    try:
+        lightwave = [bands.lightwave(row, *values)
+                     for values in itertools.product(*lightwave_axes)]
+        feasible = [violation is None for violation, _, _ in lightwave]
+        if not any(feasible):
+            return feasible, None, None
+        rf = [bands.rf(row.rf, rho) for rho in rho_levels]
+    except ScenarioValidationError:
+        return None
+    terms = [(rate, harvest) for violation, rate, harvest in lightwave if violation is None]
+    if not all(map(math.isfinite, (a + b for t in terms for u in rf for a, b in zip(t, u)))):
+        return None
+    return feasible, terms, rf
+
+
+# numpy's floating-point warnings are errors; a blanket "error" filter would
+# also turn a DeprecationWarning that hypothesis raises while it reports a
+# falsifying example into a pytest INTERNALERROR that ends the session
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(_sweep_scenarios(), st.integers(2, 6))
+# rate kernels that overflow where the AC swing is above zero, not at alpha 0 or 1
+@example(parse_scenario("nirl_bulb_power = 1e200\n"), 3)
+@example(parse_scenario("optical_filter_gain = 1e300\n"), 3)
+def test_band_terms_equal_a_per_tuple_loop(s, grid):
+    for protocol in (p for p in ProtocolId if protocols._TABLE[p].rf is not None):
+        looped = _looped_band_terms(s, protocol, grid)
+        if looped is None:  # some kept tuple's term or sum is inf or NaN
+            with pytest.raises(ScenarioValidationError):
+                protocols._band_terms(s, protocol, grid)
+            continue
+        feasible, terms, rf = protocols._band_terms(s, protocol, grid)
+        assert feasible.tolist() == looped[0]
+        if looped[1] is None:
+            assert (terms, rf) == (None, None)
+            continue
+        for got, want in ((terms[feasible], looped[1]), (rf, looped[2])):
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("protocol", [ProtocolId.C, ProtocolId.D])
+def test_band_terms_call_the_lightwave_kernels_once_per_alpha(monkeypatch, scenario, protocol):
+    calls = dict.fromkeys(["lightwave_rate", "optical_harvest", "illuminance_at"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(protocols, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(protocols, name, counted)
+    protocols._band_terms(scenario, protocol, 41)
+    # one level of the pinned band's alpha, 41 of the swept one's; each
+    # _lightwave_branch harvests twice (ID slot and all-DC remainder)
+    assert calls["lightwave_rate"] <= 2 * 41 + 2
+    assert calls["optical_harvest"] <= 2 * 41 + 2
+    assert calls["illuminance_at"] <= 2  # full drive, and c's levels as one array
 
 
 def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_scenario):
