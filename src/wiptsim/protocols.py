@@ -29,7 +29,7 @@ from .channel_optical import channel_gain, illuminance_at
 from .channel_rf import mean_rf_received_power
 from .harvest import optical_harvest, rf_harvest
 from .link_rates import admissible_ac_peak, lightwave_rate, rf_rate
-from .scenario import ScenarioValidationError
+from .scenario import Scenario, ScenarioValidationError
 
 
 class ProtocolId(enum.Enum):
@@ -106,9 +106,11 @@ class _Protocol:
     """One protocol: its control grid and what drives each of the three bands.
 
     ``controls`` lists the five controls in field order, each at its pinned
-    value or _SWEPT.  ``nirl`` switches the NIRL band on at the per-device
-    bulb share.  ``vl`` and ``rf`` map a scenario to the band's optical
-    budget and total transmit power; None switches the band off.
+    value or _SWEPT.  ``nirl``, ``vl`` and ``rf`` map a scenario to the
+    band's drive: the NIRL and VL optical budgets per device and the RF
+    total transmit power; None switches the band off.  ``lightwave`` lists
+    the (name, drive, index of its alpha control) of each lightwave band
+    that is on, NIRL first, the order in which both engines add them.
     ``lux_gated`` rejects VL drives outside the illuminance range.
     """
 
@@ -120,14 +122,16 @@ class _Protocol:
         self.pinned = itemgetter(*(k for k, value in enumerate(controls) if value is not _SWEPT))
         self.controls = tuple(controls)
         self.pin_values = self.pinned(self.controls)
-        self.nirl = nirl
-        self.vl = vl
+        self.drives = (nirl, vl, rf)
         self.rf = rf
+        # a lightwave band's tau control follows its alpha
+        bands = (("NIRL", nirl, 0), ("VL", vl, 2))
+        self.lightwave = tuple(band for band in bands if band[1] is not None)
         self.lux_gated = lux_gated
 
     def bands_on(self):
         """On/off flags of the (NIRL, VL, RF) bands."""
-        return (self.nirl, self.vl is not None, self.rf is not None)
+        return tuple(drive is not None for drive in self.drives)
 
 
 def _dimmed_vl_budget(scenario):
@@ -135,23 +139,24 @@ def _dimmed_vl_budget(scenario):
     return 2.0 * scenario.vl_dim_fraction * scenario.vl_bulb_power
 
 
+_NIRL = Scenario.nirl_power_per_device
 _VL_FULL = attrgetter("vl_bulb_power")
 _RF_FULL = attrgetter("rf_total_tx_power")
 _RF_WPT = attrgetter("rf_wpt_tx_power")
 
 # Columns: controls (alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf), NIRL
-# on, VL drive, RF drive.  Pure power splitting is the tau = 1 frame; an
+# drive, VL drive, RF drive.  Pure power splitting is the tau = 1 frame; an
 # all-DC band is (alpha, tau) = (1, 0); inactive bands are pinned to 0 and
 # never evaluated.
 _TABLE = {
-    ProtocolId.RF_ONLY: _Protocol((0.0, 0.0, 0.0, 0.0, _SWEPT), False, None, _RF_FULL),
-    ProtocolId.VL_ONLY: _Protocol((0.0, 0.0, _SWEPT, _SWEPT, 0.0), False, _VL_FULL, None),
-    ProtocolId.NIRL_ONLY: _Protocol((_SWEPT, _SWEPT, 0.0, 0.0, 0.0), True, None, None),
-    ProtocolId.A: _Protocol((_SWEPT, 1.0, 1.0, 0.0, _SWEPT), True, _VL_FULL, _RF_WPT),
-    ProtocolId.B: _Protocol((0.5, _SWEPT, 1.0, 0.0, _SWEPT), True, _VL_FULL, _RF_WPT),
-    ProtocolId.C: _Protocol((1.0, 0.0, _SWEPT, _SWEPT, _SWEPT), True, _VL_FULL, _RF_WPT,
+    ProtocolId.RF_ONLY: _Protocol((0.0, 0.0, 0.0, 0.0, _SWEPT), None, None, _RF_FULL),
+    ProtocolId.VL_ONLY: _Protocol((0.0, 0.0, _SWEPT, _SWEPT, 0.0), None, _VL_FULL, None),
+    ProtocolId.NIRL_ONLY: _Protocol((_SWEPT, _SWEPT, 0.0, 0.0, 0.0), _NIRL, None, None),
+    ProtocolId.A: _Protocol((_SWEPT, 1.0, 1.0, 0.0, _SWEPT), _NIRL, _VL_FULL, _RF_WPT),
+    ProtocolId.B: _Protocol((0.5, _SWEPT, 1.0, 0.0, _SWEPT), _NIRL, _VL_FULL, _RF_WPT),
+    ProtocolId.C: _Protocol((1.0, 0.0, _SWEPT, _SWEPT, _SWEPT), _NIRL, _VL_FULL, _RF_WPT,
                             lux_gated=True),
-    ProtocolId.D: _Protocol((_SWEPT, _SWEPT, 0.5, 1.0, _SWEPT), True, _dimmed_vl_budget, _RF_WPT),
+    ProtocolId.D: _Protocol((_SWEPT, _SWEPT, 0.5, 1.0, _SWEPT), _NIRL, _dimmed_vl_budget, _RF_WPT),
 }
 
 
@@ -180,12 +185,6 @@ def _check_pins(protocol, pins, controls):
             )
 
 
-def _link_gains(scenario):
-    h_vl = channel_gain(scenario.vl_geometry(), scenario.pd_area, scenario.optical_filter_gain)
-    h_nirl = channel_gain(scenario.nirl_geometry(), scenario.pd_area, scenario.optical_filter_gain)
-    return h_vl, h_nirl
-
-
 def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, id_time_fraction):
     """Frame-averaged (rate, harvested power) of one lightwave band."""
     dc_rx = dc_fraction * optical_budget * gain
@@ -208,30 +207,6 @@ def _rf_branch(scenario, tx_power, rho):
     p_rx = mean_rf_received_power(scenario, tx_power / scenario.n_devices)
     rate = rf_rate(p_rx, 1.0 - rho, scenario.rf_noise_power, scenario.rf_bandwidth)
     return rate, rf_harvest(rho * p_rx, scenario.eh_rf)
-
-
-def _lux_level(scenario, geometry, alpha_vl, tau_vl):
-    """Illuminance (lx) of a VL drive, of floats or arrays: the eye averages over the
-    frame, so the level follows the frame-average DC drive (the AC part has zero mean)."""
-    avg_fraction = tau_vl * alpha_vl + (1.0 - tau_vl)
-    return illuminance_at(avg_fraction * scenario.vl_bulb_power, scenario.luminous_efficacy,
-                          geometry)
-
-
-def _lux_violation(scenario, geometry, full, alpha_vl, tau_vl):
-    """Why a VL drive leaves the illuminance range, or None when it does not.
-
-    geometry is the VL link's, full the illuminance (lx) at full drive.
-    """
-    level = _lux_level(scenario, geometry, alpha_vl, tau_vl)
-    limits = scenario.safety
-    if level > limits.illuminance_max:
-        return f"VL drive yields {level:.1f} lx, above {limits.illuminance_max} lx"
-    # The floor only binds when the bulb can reach it at all; otherwise the
-    # shortfall is a property of the room, not of the control setting.
-    if level < limits.illuminance_min <= full:
-        return f"VL drive yields {level:.1f} lx, below {limits.illuminance_min} lx"
-    return None
 
 
 def _finite(band, kernel, *args):
@@ -266,44 +241,57 @@ _MEMO_SIZE = math.isqrt(_MAX_SWEEP_TUPLES)
 
 
 class _Bands:
-    """One scenario's band terms, memoised per band control tuple.
+    """One scenario's context, shared by evaluate and compare's band terms.
 
-    The lightwave memo maps a protocol row and (alpha_nirl, tau_nirl,
-    alpha_vl, tau_vl) to (lux violation or None, rate, harvested power),
-    the NIRL then the VL term added from 0.0 as evaluate adds them; the RF
-    memo maps (drive, rho_rf) to the RF term.  A sweep therefore computes
-    the terms once per distinct band tuple, not once per grid point; the
-    lightwave memo holds only the last term (see _MEMO_SIZE).  The memos
-    are bounded and closed over the scenario and the constants derived
-    from it once (link gains, NIRL budget, VL geometry and full-drive
-    illuminance), so they die with this context.  The kernels are looked up
-    in this module on every miss.
+    It derives the constants both engines read once: each lightwave band's
+    link gain (``gains``, by band name) and, for protocol c's lux gate
+    (``lux``), the VL geometry and the full-drive illuminance.  evaluate
+    also reads its memos, one per band control tuple.  The lightwave memo
+    maps a protocol row and (alpha_nirl, tau_nirl, alpha_vl, tau_vl) to
+    (lux violation or None, rate, harvested power), the lightwave bands'
+    terms added from 0.0; the RF memo maps (drive, rho_rf) to the RF term.
+    A sweep therefore computes the terms once per distinct band tuple, not
+    once per grid point; the lightwave memo holds only the last term (see
+    _MEMO_SIZE).  The memos are bounded and closed over the scenario, so
+    they die with this context.  The kernels are looked up in this module
+    on every miss.
     """
 
-    __slots__ = ("lightwave", "rf")
+    __slots__ = ("gains", "lux", "lightwave", "rf")
 
     def __init__(self, scenario):
-        h_vl, h_nirl = _link_gains(scenario)
-        nirl_budget = scenario.nirl_power_per_device()
-        vl_geometry = scenario.vl_geometry()
-        full_lux = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, vl_geometry)
+        vl_geometry, limits = scenario.vl_geometry(), scenario.safety
+        gains = {name: channel_gain(geometry, scenario.pd_area, scenario.optical_filter_gain)
+                 for name, geometry in (("VL", vl_geometry), ("NIRL", scenario.nirl_geometry()))}
+        full = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, vl_geometry)
+        # The floor only binds when the bulb can reach it at all; otherwise the
+        # shortfall is a property of the room, not of the control setting.
+        floor_binds = limits.illuminance_min <= full
+
+        def lux(alpha_vl, tau_vl):
+            """(level, above, below) of a VL drive, of floats or arrays: its illuminance
+            (lx) and whether it lies above the ceiling or below a reachable floor.  The
+            eye averages over the frame, so the level follows the frame-average DC drive
+            (the AC part has zero mean)."""
+            avg_fraction = tau_vl * alpha_vl + (1.0 - tau_vl)
+            level = illuminance_at(avg_fraction * scenario.vl_bulb_power,
+                                   scenario.luminous_efficacy, vl_geometry)
+            return (level, level > limits.illuminance_max,
+                    (level < limits.illuminance_min) & floor_binds)
 
         @lru_cache(maxsize=1)
-        def lightwave(row, alpha_nirl, tau_nirl, alpha_vl, tau_vl):
+        def lightwave(row, *controls):
             if row.lux_gated:
-                violation = _lux_violation(scenario, vl_geometry, full_lux, alpha_vl, tau_vl)
-                if violation is not None:
-                    return violation, 0.0, 0.0
+                level, above, below = lux(controls[2], controls[3])
+                if above or below:
+                    bound = (f"above {limits.illuminance_max}" if above
+                             else f"below {limits.illuminance_min}")
+                    return f"VL drive yields {level:.1f} lx, {bound} lx", 0.0, 0.0
             rate = 0.0
             harvested = 0.0
-            if row.nirl:
-                r, e = _finite("NIRL", _lightwave_branch, scenario, nirl_budget, h_nirl,
-                               alpha_nirl, tau_nirl)
-                rate += r
-                harvested += e
-            if row.vl is not None:
-                r, e = _finite("VL", _lightwave_branch, scenario, row.vl(scenario), h_vl,
-                               alpha_vl, tau_vl)
+            for name, drive, k in row.lightwave:
+                r, e = _finite(name, _lightwave_branch, scenario, drive(scenario), gains[name],
+                               controls[k], controls[k + 1])
                 rate += r
                 harvested += e
             return None, rate, harvested
@@ -312,7 +300,7 @@ class _Bands:
         def rf(power, rho):
             return _finite("RF", _rf_branch, scenario, power(scenario), rho)
 
-        self.lightwave, self.rf = lightwave, rf
+        self.gains, self.lux, self.lightwave, self.rf = gains, lux, lightwave, rf
 
 
 # The last scenario and its band context, compared by identity so the
@@ -428,34 +416,30 @@ def _lightwave_terms(scenario, optical_budget, gain, alphas, taus):
 def _band_terms(scenario, protocol, grid_points_per_axis):
     """(feasible, lightwave, rf) of a protocol that drives the RF band: c's lux
     gate's mask over the lightwave tuples in grid order, their (rate, harvested
-    power) rows, NIRL then VL added from 0.0 as evaluate adds them, and the
-    rho_rf levels' rows, or None for both when every tuple is rejected.  The
-    first grid tuple whose term or sum is inf or NaN raises evaluate's error.
+    power) rows, the lightwave bands added from 0.0 as evaluate adds them, and
+    the rho_rf levels' rows, or None for both when every tuple is rejected.
+    Reads its own _Bands context, never evaluate's.  The first grid tuple
+    whose term or sum is inf or NaN raises evaluate's error.
     """
     *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
-    alpha_nirl, tau_nirl, alpha_vl, tau_vl = lightwave_axes  # alphas stay floats for the kernels
-    row = _TABLE[protocol]
-    feasible = np.ones(tuple(map(len, lightwave_axes)), dtype=bool)
-    if row.lux_gated:
-        geometry, limits = scenario.vl_geometry(), scenario.safety
-        full = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy, geometry)
-        level = _lux_level(scenario, geometry, np.array(alpha_vl)[:, None], np.array(tau_vl))
-        feasible &= ~((level > limits.illuminance_max)
-                      | ((level < limits.illuminance_min) & (limits.illuminance_min <= full)))
+    row, bands = _TABLE[protocol], _Bands(scenario)
+    shape = tuple(map(len, lightwave_axes))
+    feasible = np.ones(shape, dtype=bool)
+    if row.lux_gated:  # the (alpha_vl, tau_vl) plane broadcasts over the last two axes
+        _, above, below = bands.lux(np.array(lightwave_axes[2])[:, None],
+                                    np.array(lightwave_axes[3]))
+        feasible &= ~(above | below)
     if not feasible.any():
         return feasible.ravel(), None, None
-    h_vl, h_nirl = _link_gains(scenario)
-    terms = np.zeros((2, *feasible.shape))  # (rate or harvest, *lightwave tuple)
-    if row.nirl:
-        terms += _lightwave_terms(scenario, scenario.nirl_power_per_device(), h_nirl,
-                                  alpha_nirl, np.array(tau_nirl))[..., None, None]
-    if row.vl is not None:
-        terms += _lightwave_terms(scenario, row.vl(scenario), h_vl, alpha_vl,
-                                  np.array(tau_vl))[:, None, None]
+    terms = np.zeros((2, *shape))  # (rate or harvest, *lightwave tuple)
+    for name, drive, k in row.lightwave:  # alphas stay floats for the kernels
+        plane = _lightwave_terms(scenario, drive(scenario), bands.gains[name], lightwave_axes[k],
+                                 np.array(lightwave_axes[k + 1]))
+        terms += plane.reshape(2, *(n if k <= j <= k + 1 else 1 for j, n in enumerate(shape)))
     rf = np.full((len(rho_levels), 2), math.inf)  # kept where it raised, so each sum fails
     with suppress(ScenarioValidationError):
         for k, rho in enumerate(rho_levels):
-            rf[k] = _finite("RF", _rf_branch, scenario, row.rf(scenario), rho)
+            rf[k] = bands.rf(row.rf, rho)
     feasible, terms = feasible.ravel(), terms.reshape(2, -1).T
     # Correctly rounded addition never decreases when an addend grows, so a
     # lightwave term's sums with the RF minima and maxima bound its others.

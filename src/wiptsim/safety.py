@@ -59,17 +59,15 @@ def check_illuminance(scenario, dim_mode):
     return cls, level
 
 
-def evaluate_safety(scenario, dim_mode=False, body_geometry=None):
+def evaluate_safety(scenario, dim_mode=False):
     """Full verdict for protocol-mode operation (RF at the WPT power level).
 
     In dim mode the illuminance class is reported but does not fail the
     overall verdict; a dimmed room is outside the illumination range on
-    purpose.
+    purpose.  The NIRL irradiance is checked at the NIRL link's geometry.
     """
-    if body_geometry is None:
-        body_geometry = scenario.nirl_geometry()
     sar_ok, sar_margin = check_sar(scenario.rf_wpt_tx_power, scenario.safety)
-    irradiance_ok, irradiance_margin = check_irradiance(scenario, body_geometry)
+    irradiance_ok, irradiance_margin = check_irradiance(scenario, scenario.nirl_geometry())
     illuminance_class, illuminance = check_illuminance(scenario, dim_mode)
     overall = sar_ok and irradiance_ok and (illuminance_class == ILLUMINANCE_WITHIN or dim_mode)
     return SafetyVerdict(

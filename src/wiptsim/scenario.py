@@ -58,6 +58,8 @@ def _rule(holds, must):
 
 
 _POSITIVE = _rule(lambda v: math.isfinite(v) and v > 0.0, "be finite and positive, got {}")
+_NONNEGATIVE = _rule(lambda v: math.isfinite(v) and v >= 0.0,
+                     "be finite and nonnegative, got {}")
 _ANGLE = _rule(lambda v: 0.0 <= v < 90.0, "lie in [0, 90) degrees, got {}")
 _UNIT = _rule(lambda v: 0.0 < v <= 1.0, "lie in (0, 1], got {}")
 _AT_LEAST_ONE = _rule(lambda v: v >= 1, "be at least 1")
@@ -113,8 +115,8 @@ class SafetyLimits:
     sar_power_budget: float = _key(4.8, _POSITIVE)
     sar_window: float = _key(360.0, _POSITIVE)
     nirl_irradiance_limit: float = _key(0.005, _POSITIVE)
-    illuminance_min: float = 200.0
-    illuminance_max: float = 1000.0
+    illuminance_min: float = _key(200.0, _NONNEGATIVE)
+    illuminance_max: float = _key(1000.0, _POSITIVE)
     nirl_beam_avoids_body: bool = True
 
     def __post_init__(self):
@@ -137,8 +139,7 @@ class Scenario:
                                                  f"lie in [1, {_MAX_RF_ANTENNAS}], got {{}}"))
     rf_total_tx_power: float = _key(dbm_to_watts(20.0), _POSITIVE)
     rf_wpt_tx_power: float = _key(dbm_to_watts(16.0), _POSITIVE)
-    rician_k: float = _key(10.0 ** 0.6, _rule(lambda v: math.isfinite(v) and v >= 0.0,
-                                              "be finite and nonnegative"))
+    rician_k: float = _key(10.0 ** 0.6, _NONNEGATIVE)
     pathloss_exponent: float = _key(2.6, _POSITIVE)
     rf_noise_power: float = _key(1e-12, _POSITIVE)
     rf_bandwidth: float = _key(1e7, _POSITIVE)

@@ -482,6 +482,18 @@ def test_safety_dim_mode_passes(default_file, capsys):
     assert "dim mode" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text,named", [
+    # a negative floor used to turn the default's failing verdict into a pass
+    ("illuminance_min = -1.0\n", "safety.illuminance_min must be finite and nonnegative"),
+    ("illuminance_min = -inf\nilluminance_max = inf\n",
+     "safety.illuminance_min must be finite and nonnegative"),
+    ("illuminance_max = inf\n", "safety.illuminance_max must be finite and positive"),
+], ids=["min-negative", "both-infinite", "max-infinite"])
+def test_illuminance_limits_outside_their_ranges_exit_1(tmp_path, monkeypatch, capsys, text,
+                                                         named):
+    assert named in _refuses_scenario(tmp_path, monkeypatch, capsys, text, ["safety"])
+
+
 def test_safety_body_exposure(tmp_path, capsys):
     path = tmp_path / "exposed.toml"
     path.write_text("nirl_beam_avoids_body = false\n")

@@ -32,8 +32,14 @@ from wiptsim import (
 from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
 from wiptsim.protocols import (_CONTROL_NAMES, _MAX_SWEEP_TUPLES, _MEMO_SIZE, _SWEPT, _TABLE,
-                               _Protocol, _link_gains)
+                               _Bands, _Protocol)
 from wiptsim.region import _band_merge
+
+
+def _link_gains(scenario):
+    """The (VL, NIRL) link gains of the scenario's band context."""
+    gains = _Bands(scenario).gains
+    return gains["VL"], gains["NIRL"]
 
 
 def test_free_controls_map():
@@ -99,7 +105,7 @@ def test_grid_levels_are_checked_when_the_grid_is_built(monkeypatch):
     # no grid tuple passes through ProtocolControls.__new__, so a bad level
     # must be refused before the first one is built
     monkeypatch.setitem(_TABLE, ProtocolId.B,
-                        _Protocol((1.5, _SWEPT, 1.0, 0.0, _SWEPT), True, None, None))
+                        _Protocol((1.5, _SWEPT, 1.0, 0.0, _SWEPT), *_TABLE[ProtocolId.B].drives))
     with pytest.raises(ValueError, match=r"^alpha_nirl must lie in \[0, 1\], got 1.5$"):
         enumerate_controls(ProtocolId.B, 3)
     assert all(type(c) is ProtocolControls for c in enumerate_controls(ProtocolId.D, 3))
@@ -225,6 +231,19 @@ def test_protocol_c_illuminance_feasibility(scenario):
     with pytest.raises(InfeasibleControlsError, match="above"):
         evaluate(glaring, ProtocolId.C, controls_for(ProtocolId.C, alpha_vl=1.0, tau_vl=0.0, rho_rf=0.0))
     evaluate(glaring, ProtocolId.C, controls_for(ProtocolId.C, alpha_vl=0.25, tau_vl=1.0, rho_rf=0.0))
+
+
+@pytest.mark.parametrize("alpha_vl,tau_vl,message", [
+    (0.9, 0.5, "VL drive yields 47.5 lx, above 39.99229503986712 lx"),
+    (0.25, 1.0, "VL drive yields 12.5 lx, below 14.99711063995017 lx"),
+])
+def test_protocol_c_lux_messages(lux_gated_scenario, alpha_vl, tau_vl, message):
+    # the 0.3x..0.8x range of the fixture's 49.99 lx full drive; the frame-average
+    # drives are 0.95 and 0.25
+    controls = controls_for(ProtocolId.C, alpha_vl=alpha_vl, tau_vl=tau_vl, rho_rf=0.0)
+    with pytest.raises(InfeasibleControlsError) as rejected:
+        evaluate(lux_gated_scenario, ProtocolId.C, controls)
+    assert str(rejected.value) == message
 
 
 def test_protocol_c_default_room_never_rejects(scenario):

@@ -161,7 +161,7 @@ _REFUSALS = {
     "n_rf_antennas = 1025": "n_rf_antennas must lie in [1, 1024], got 1025",
     "rf_total_tx_power = -1.0": "rf_total_tx_power must be finite and positive, got -1.0",
     "rf_wpt_tx_power = inf": "rf_wpt_tx_power must be finite and positive, got inf",
-    "rician_k = -1.0": "rician_k must be finite and nonnegative",
+    "rician_k = -1.0": "rician_k must be finite and nonnegative, got -1.0",
     "pathloss_exponent = 0.0": "pathloss_exponent must be finite and positive, got 0.0",
     "rf_noise_power = -0.0": "rf_noise_power must be finite and positive, got -0.0",
     "rf_bandwidth = -inf": "rf_bandwidth must be finite and positive, got -inf",
@@ -196,7 +196,9 @@ _REFUSALS = {
     "nirl_irradiance_limit = -0.005":
         "safety.nirl_irradiance_limit must be finite and positive, got -0.005",
     "illuminance_min = 2000.0": "safety.illuminance_min must be below safety.illuminance_max",
+    "illuminance_min = -1.0": "safety.illuminance_min must be finite and nonnegative, got -1.0",
     "illuminance_max = 100.0": "safety.illuminance_min must be below safety.illuminance_max",
+    "illuminance_max = inf": "safety.illuminance_max must be finite and positive, got inf",
     "luminous_efficacy = 0.0": "luminous_efficacy must be finite and positive, got 0.0",
     "vl_dim_fraction = 1.0": "vl_dim_fraction must lie in (0, 1), got 1.0",
     "mc_samples = 0": "mc_samples must be at least 1",
@@ -346,9 +348,8 @@ _KEY_VALUES = {
                                                          + _ENSEMBLE_VECTOR_ENTRIES)),
     "rng_seed": st.integers(min_value=0, max_value=2**128),
 }
-# illuminance_min < illuminance_max: two distinct finite values, sorted
-_ILLUMINANCE = st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                        min_size=2, max_size=2, unique=True).map(sorted)
+# illuminance_min < illuminance_max: two distinct finite nonnegative values, sorted
+_ILLUMINANCE = st.lists(_NONNEGATIVE, min_size=2, max_size=2, unique=True).map(sorted)
 
 
 @st.composite
