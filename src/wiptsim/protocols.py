@@ -20,7 +20,7 @@ import itertools
 import math
 from contextlib import suppress
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -106,22 +106,22 @@ class _Protocol:
     """One protocol: its control grid and what drives each of the three bands.
 
     ``controls`` lists the five controls in field order, each at its pinned
-    value or _SWEPT.  ``nirl``, ``vl`` and ``rf`` map a scenario to the
-    band's drive: the NIRL and VL optical budgets per device and the RF
-    total transmit power; None switches the band off.  ``lightwave`` lists
-    the (name, drive, index of its alpha control) of each lightwave band
-    that is on, NIRL first, the order in which both engines add them.
-    ``lux_gated`` rejects VL drives outside the illuminance range.
+    value or _SWEPT, in any pattern.  ``free`` names the swept ones and
+    ``pins`` holds the (index, value) of the others, both in field order.
+    ``nirl``, ``vl`` and ``rf`` map a scenario to the band's drive: the
+    NIRL and VL optical budgets per device and the RF total transmit power;
+    None switches the band off.  ``lightwave`` lists the (name, drive,
+    index of its alpha control) of each lightwave band that is on, NIRL
+    first, the order in which both engines add them.  ``lux_gated`` rejects
+    VL drives outside the illuminance range.  A _TABLE row that drives RF
+    sweeps at most as many lightwave controls as a baseline has free axes:
+    compare checks only the baselines' grids against _MAX_SWEEP_TUPLES.
     """
 
     def __init__(self, controls, nirl, vl, rf, lux_gated=False):
-        named = tuple(zip(_CONTROL_NAMES, controls))
-        self.free = tuple(name for name, value in named if value is _SWEPT)
-        self.pins = {name: value for name, value in named if value is not _SWEPT}
-        # pinned(controls) == pin_values is the per-call pin check
-        self.pinned = itemgetter(*(k for k, value in enumerate(controls) if value is not _SWEPT))
         self.controls = tuple(controls)
-        self.pin_values = self.pinned(self.controls)
+        self.free = tuple(name for name, value in zip(_CONTROL_NAMES, controls) if value is _SWEPT)
+        self.pins = tuple((k, value) for k, value in enumerate(controls) if value is not _SWEPT)
         self.drives = (nirl, vl, rf)
         self.rf = rf
         # a lightwave band's tau control follows its alpha
@@ -168,21 +168,12 @@ def free_controls(protocol):
 def controls_for(protocol, **free_values):
     """Build a control tuple from the protocol's pins plus the free values."""
     row = _TABLE[protocol]
-    values = dict.fromkeys(row.free, 0.0) | row.pins
-    for name, value in free_values.items():
-        if name not in row.free:
+    values = dict(zip(_CONTROL_NAMES, (0.0 if v is _SWEPT else v for v in row.controls)))
+    for name in free_values:
+        if name in values and name not in row.free:
             raise PinnedControlError(f"{name} is pinned for protocol {protocol.value}")
-        values[name] = value
-    return ProtocolControls(**values)
-
-
-def _check_pins(protocol, pins, controls):
-    for name, value in pins.items():
-        if getattr(controls, name) != value:
-            raise PinnedControlError(
-                f"{name} is pinned to {value} for protocol {protocol.value}, "
-                f"got {getattr(controls, name)}"
-            )
+    # an unknown name is ProtocolControls' TypeError
+    return ProtocolControls(**values | free_values)
 
 
 def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, id_time_fraction):
@@ -323,8 +314,10 @@ def evaluate(scenario, protocol, controls):
     if type(controls) is not ProtocolControls:
         raise TypeError(f"controls must be a ProtocolControls, got {type(controls).__name__}")
     row = _TABLE[protocol]
-    if row.pinned(controls) != row.pin_values:
-        _check_pins(protocol, row.pins, controls)
+    for k, value in row.pins:
+        if controls[k] != value:
+            raise PinnedControlError(f"{_CONTROL_NAMES[k]} is pinned to {value} for protocol "
+                                     f"{protocol.value}, got {controls[k]}")
     alpha_nirl, tau_nirl, alpha_vl, tau_vl, rho_rf = controls
     last, bands = _last_bands
     if last is not scenario:

@@ -119,6 +119,23 @@ def test_pinned_control_rejected(scenario):
         controls_for(ProtocolId.A, tau_vl=0.3)
 
 
+def test_pin_messages_name_the_first_mismatch_in_field_order(scenario):
+    controls = controls_for(ProtocolId.A, alpha_nirl=0.5)._replace(tau_nirl=0.7, alpha_vl=0.2)
+    with pytest.raises(PinnedControlError) as info:
+        evaluate(scenario, ProtocolId.A, controls)
+    assert str(info.value) == "tau_nirl is pinned to 1.0 for protocol a, got 0.7"
+    with pytest.raises(PinnedControlError) as info:
+        controls_for(ProtocolId.A, tau_vl=0.3)
+    assert str(info.value) == "tau_vl is pinned for protocol a"
+
+
+def test_controls_for_refuses_an_unknown_control_as_protocol_controls_does():
+    with pytest.raises(TypeError, match="'alpha'"):
+        ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0, alpha=0.5)
+    with pytest.raises(TypeError, match="'alpha'"):
+        controls_for(ProtocolId.A, alpha=0.5)
+
+
 def test_all_energy_corner(scenario):
     point = evaluate(scenario, ProtocolId.A, controls_for(ProtocolId.A, alpha_nirl=1.0, rho_rf=1.0))
     assert point.rate == 0.0

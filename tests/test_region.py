@@ -414,11 +414,11 @@ def _cold_outcome(scenario, protocol, controls):
     return point.rate.hex(), point.harvested_power.hex()
 
 
-def _assert_sweeps_equal_cold_evaluate(s, grid):
-    grids = {protocol: list(enumerate_controls(protocol, grid)) for protocol in ProtocolId}
+def _assert_sweeps_equal_cold_evaluate(s, grid, ids=tuple(ProtocolId)):
+    grids = {protocol: list(enumerate_controls(protocol, grid)) for protocol in ids}
     cold = {protocol: [_cold_outcome(s, protocol, c) for c in controls]
             for protocol, controls in grids.items()}
-    # The seven sweeps run back to back on one scenario object, so later
+    # The sweeps run back to back on one scenario object, so later
     # protocols read band terms the earlier ones memoised.
     for protocol, controls in grids.items():
         errors = [o for o in cold[protocol] if isinstance(o, str)]
@@ -518,6 +518,39 @@ def _assert_merge_equals_sweep(s, protocol, grid):
 @given(_sweep_scenarios(), st.integers(2, 6))
 def test_band_merge_equals_sweep_on_random_scenarios(s, grid):
     for protocol in ProtocolId:
+        _assert_merge_equals_sweep(s, protocol, grid)
+
+
+@st.composite
+def _rows(draw):
+    """A protocol row of any pin pattern, drives and lux gate, and a grid to sweep it on."""
+    level = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    controls = draw(st.lists(st.just(protocols._SWEPT) | level, min_size=5, max_size=5))
+    row = protocols._Protocol(
+        controls,
+        draw(st.sampled_from([None, protocols._NIRL])),
+        draw(st.sampled_from([None, protocols._VL_FULL, protocols._dimmed_vl_budget])),
+        draw(st.sampled_from([None, protocols._RF_FULL, protocols._RF_WPT])),
+        lux_gated=draw(st.booleans()),
+    )
+    return row, draw(st.integers(2, 3 if len(row.free) == 5 else 5))
+
+
+_ALL_SWEPT = protocols._Protocol((protocols._SWEPT,) * 5, protocols._NIRL, protocols._VL_FULL,
+                                 protocols._RF_WPT)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_sweep_scenarios(), _rows(), st.sampled_from(ProtocolId))
+@example(parse_scenario(""), (_ALL_SWEPT, 3), ProtocolId.D)
+@example(_lux_gated(parse_scenario("")), (_ALL_SWEPT, 3), ProtocolId.C)
+def test_both_engines_equal_evaluate_on_any_row(s, row_and_grid, protocol):
+    # a row nobody has written yet, installed in place of one protocol's
+    row, grid = row_and_grid
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(protocols._TABLE, protocol, row)
+        _assert_sweeps_equal_cold_evaluate(s, grid, (protocol,))
         _assert_merge_equals_sweep(s, protocol, grid)
 
 
