@@ -6,11 +6,11 @@ in scenario.py (such as a semi-angle outside the Lambertian domain), a
 fading ensemble above its budget, or keys that make a link gain, the
 full-drive illuminance, the per-device NIRL power, a band's rate or
 harvest, or their sum over the bands overflow or come out inf or NaN;
-2 unknown protocol, --grid below 2 or above the sweep budget of 2**21
-control tuples (compare counts the baselines' tuples, so it admits grid
-1448 at most), or an --out that names no file ("", "." or "sub/.."),
-each refused before any sweep; 3 degenerate region; 4 safety verdict
-failed; 5 the region's CSV pair could not be written.
+2 unknown protocol, --grid below 2 or above the sweep budget (no
+protocol's engine may build more than 2**21 tuples at one go; see
+protocols.tuples_built), or an --out that names no file ("", "." or
+"sub/.."), each refused before any sweep; 3 degenerate region; 4 safety
+verdict failed; 5 the region's CSV pair could not be written.
 Of several bad keys, the error names the first in scenario.py's order:
 each sub-model's keys, then the others in file order, each check across
 keys after the keys it reads.  A file may begin with a byte-order mark."""
@@ -27,7 +27,7 @@ import numpy as np
 
 from .region import (_Points, DegenerateRegionError, _band_merge, dominates, max_energy,
                      max_rate, sweep)
-from .protocols import _TABLE, ProtocolId, SweepBudgetError, enumerate_controls
+from .protocols import _TABLE, ProtocolId, SweepBudgetError, tuples_built
 from .safety import evaluate_safety
 from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
 
@@ -131,25 +131,24 @@ def cmd_region(scenario, protocol, grid, out_path):
     return 0
 
 
-def _compare_row(protocol, count, region, regions):
-    row = f"{protocol.value:<10}{count:>8}"
+def _compare_row(protocol, count, region, regions, width=8):
+    row = f"{protocol.value:<10}{count:>{width}}"
     row += f"{max_rate(region):>16.6e}{max_energy(region):>16.6e}"
-    if protocol in _BASELINES:
-        return row + "".join(f"{'-':>10}" for _ in _BASELINES)
-    return row + "".join(
-        f"{'yes' if dominates(region, regions[b]) else 'no':>10}" for b in _BASELINES
-    )
+    cells = ("-" if protocol in _BASELINES else "yes" if dominates(region, regions[b]) else "no"
+             for b in _BASELINES)
+    return row + "".join(f"{cell:>10}" for cell in cells)
 
 
 def cmd_compare(scenario, grid):
     # Rows print once every region is built, so a degenerate region prints nothing.
     merged = {protocol: _band_merge(scenario, protocol, grid) for protocol in ProtocolId}
     regions = {protocol: region for protocol, (_, region) in merged.items()}
-    header = f"{'protocol':<10}{'points':>8}{'max_rate_bps':>16}{'max_energy_w':>16}"
+    width = max(8, *(len(str(count)) for count, _ in merged.values()))  # the widest count
+    header = f"{'protocol':<10}{'points':>{width}}{'max_rate_bps':>16}{'max_energy_w':>16}"
     header += "".join(f"{'dom_' + b.value:>10}" for b in _BASELINES)
     print(header)
     for protocol, (count, region) in merged.items():
-        print(_compare_row(protocol, count, region, regions))
+        print(_compare_row(protocol, count, region, regions, width))
     return 0
 
 
@@ -222,15 +221,13 @@ def main(argv=None):
         if Path(out_path).name in ("", ".."):
             print(f"error: --out must name a file, got '{out_path}'", file=sys.stderr)
             return 2
-    # Refuse an oversized grid before any sweep starts.  compare builds no
-    # more band terms (16 bytes each) for a protocol than a baseline has
-    # tuples, so it checks the baselines.
-    for checked in ((protocol,) if args.command == "region" else _BASELINES):
-        try:
-            enumerate_controls(checked, args.grid)
-        except SweepBudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # Refuse an oversized grid before any term is built or ensemble drawn.
+    try:
+        for checked in ((protocol,) if args.command == "region" else ProtocolId):
+            tuples_built(checked, args.grid, merged=args.command == "compare")
+    except SweepBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "region":
             return cmd_region(scenario, protocol, args.grid, out_path)

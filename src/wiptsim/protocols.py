@@ -113,9 +113,7 @@ class _Protocol:
     None switches the band off.  ``lightwave`` lists the (name, drive,
     index of its alpha control) of each lightwave band that is on, NIRL
     first, the order in which both engines add them.  ``lux_gated`` rejects
-    VL drives outside the illuminance range.  A _TABLE row that drives RF
-    sweeps at most as many lightwave controls as a baseline has free axes:
-    compare checks only the baselines' grids against _MAX_SWEEP_TUPLES.
+    VL drives outside the illuminance range.
     """
 
     def __init__(self, controls, nirl, vl, rf, lux_gated=False):
@@ -214,13 +212,12 @@ def _finite(band, kernel, *args):
 
 
 class SweepBudgetError(ValueError):
-    """A control grid holds more tuples than one sweep may evaluate."""
+    """A protocol's engine would build more than _MAX_SWEEP_TUPLES tuples at one go."""
 
 
-# Control tuples one sweep may evaluate.  A swept point keeps 56 bytes of
-# float64 columns, so the largest admitted region holds about 117 MB; the
-# bound admits grid 128 on three free axes (128**3 == 2**21), and as many
-# of compare's band terms, kept as float64 pairs at 16 bytes a term.
+# Tuples an engine may build for one protocol at one go (tuples_built), grid
+# 128 on three axes.  A swept point keeps 56 bytes of float64 columns (117 MB
+# at the bound), a band term of compare 16 bytes.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
@@ -229,6 +226,23 @@ _MAX_SWEEP_TUPLES = 1 << 21
 # tuples.  A sweep that reuses them has at least two free axes, so at
 # most isqrt(_MAX_SWEEP_TUPLES) == 1,448 rho_rf levels, and never evicts.
 _MEMO_SIZE = math.isqrt(_MAX_SWEEP_TUPLES)
+
+
+def tuples_built(protocol, grid_points_per_axis, merged=False):
+    """How many tuples a protocol's engine builds at one go at a grid: one per
+    grid point for sweep, and for compare's band merge (``merged``) of a row
+    without RF, which it sweeps; for the merge of a row that drives RF, the
+    larger of its lightwave tuples and its rho_rf levels, built apart.  Raises
+    ValueError below grid 2 and SweepBudgetError above _MAX_SWEEP_TUPLES."""
+    if grid_points_per_axis < 2:
+        raise ValueError("grid_points_per_axis must be at least 2")
+    row, grid = _TABLE[protocol], grid_points_per_axis
+    apart = merged and row.rf is not None and "rho_rf" in row.free
+    tuples = max(grid ** (len(row.free) - apart), grid ** apart)
+    if tuples > _MAX_SWEEP_TUPLES:
+        raise SweepBudgetError(f"protocol {protocol.value} at grid {grid} has {tuples:,} control "
+                               f"tuples; a sweep may evaluate at most {_MAX_SWEEP_TUPLES:,}")
+    return tuples
 
 
 class _Bands:
@@ -367,8 +381,6 @@ class _Grid:
 
 def _axes(protocol, grid_points_per_axis):
     """The protocol's five control axes, each level checked against [0, 1]."""
-    if grid_points_per_axis < 2:
-        raise ValueError("grid_points_per_axis must be at least 2")
     row = _TABLE[protocol]
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
     # A pinned axis is a one-level axis, so the product runs over the free
@@ -379,19 +391,9 @@ def _axes(protocol, grid_points_per_axis):
 
 
 def enumerate_controls(protocol, grid_points_per_axis):
-    """Uniform [0, 1] Cartesian grid over the protocol's free control axes.
-
-    Returns a sized, re-iterable view of the grid.  Raises
-    SweepBudgetError, before any level is built, when the grid holds more
-    than _MAX_SWEEP_TUPLES tuples.
-    """
-    # a grid below 2 counts as one tuple here, and is _axes' error
-    tuples = max(grid_points_per_axis, 1) ** len(_TABLE[protocol].free)
-    if tuples > _MAX_SWEEP_TUPLES:
-        raise SweepBudgetError(
-            f"protocol {protocol.value} at grid {grid_points_per_axis} has {tuples:,} "
-            f"control tuples; a sweep may evaluate at most {_MAX_SWEEP_TUPLES:,}"
-        )
+    """Uniform [0, 1] Cartesian grid over the protocol's free control axes, as a
+    sized, re-iterable view; tuples_built's errors come before any level."""
+    tuples_built(protocol, grid_points_per_axis)
     return _Grid(_axes(protocol, grid_points_per_axis))
 
 
@@ -414,6 +416,7 @@ def _band_terms(scenario, protocol, grid_points_per_axis):
     Reads its own _Bands context, never evaluate's.  The first grid tuple
     whose term or sum is inf or NaN raises evaluate's error.
     """
+    tuples_built(protocol, grid_points_per_axis, merged=True)
     *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
     row, bands = _TABLE[protocol], _Bands(scenario)
     shape = tuple(map(len, lightwave_axes))

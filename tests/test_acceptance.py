@@ -91,6 +91,19 @@ def test_ac4_region_expansion(regions_21, protocol, baseline):
     _report(f"AC-4 {protocol.value} dominates {baseline.value}", ok)
 
 
+def test_ac4_b_shortfall_under_nirl(regions_21):
+    # README, "Known model property": each nirl frontier point whose rate b
+    # reaches, less b's best harvest at an equal or higher rate
+    b, nirl = regions_21[ProtocolId.B].frontier, regions_21[ProtocolId.NIRL_ONLY].frontier
+    (b_rate, b_harvest), (nirl_rate, nirl_harvest) = b.columns[:2], nirl.columns[:2]
+    first = np.searchsorted(b_rate, nirl_rate)  # b's first point at least as fast
+    reached = first < len(b_rate)
+    best_after = np.maximum.accumulate(b_harvest[::-1])[::-1]
+    shortfall = float(np.max(nirl_harvest[reached] - best_after[first[reached]]))
+    _report("AC-4 note: b's worst shortfall under nirl", round(shortfall, 6) == 2.027e-3,
+            f"{shortfall * 1e3:.3f} mW at grid 21")
+
+
 def test_ac5_model_anchors(scn):
     checks = [
         ("rf_harvest(0.014)",

@@ -20,6 +20,7 @@ from wiptsim import (ProtocolControls, ProtocolId, ScenarioParseError, ScenarioV
 from wiptsim.cli import CSV_HEADER, main
 from wiptsim.protocols import _TABLE
 from wiptsim.scenario import _flat, _format_value, parse_scenario
+from test_region import _rows as _table_rows
 
 
 @pytest.fixture
@@ -415,7 +416,7 @@ def _limit_memory():
 @pytest.mark.parametrize("command,grid,tuples", [
     # grid 1001 on three free axes would be 10**9 control tuples
     (["region", "d", "--out", "d.csv"], 1001, "protocol d at grid 1001 has 1,003,003,001"),
-    # compare builds no more terms than a baseline has tuples
+    # vl, swept whole, is the first protocol whose tuples exceed the budget
     (["compare"], 1449, "protocol vl at grid 1449 has 2,099,601"),
 ], ids=["region", "compare"])
 def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command, grid, tuples):
@@ -432,7 +433,7 @@ def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
 
 
-def test_compare_admits_every_grid_its_baselines_admit(default_file, capsys):
+def test_compare_budgets_the_terms_it_builds_not_a_full_sweep(default_file, capsys):
     # c and d would sweep 129**3 tuples, above the budget; compare builds
     # only their 129**2 lightwave terms and 129 RF terms
     grid = 129
@@ -462,12 +463,86 @@ def test_compare_above_grid_128_reports_the_first_failing_sum(tmp_path, monkeypa
     assert "the summed band terms are non-finite: (rate, harvested power) = (inf, " in err
 
 
-def test_compare_budget_bounds_every_term_it_builds():
-    # main checks only the baselines' grids for compare: no other protocol
-    # may have more lightwave axes than a baseline has free axes
-    widest = max(len(_TABLE[b].free) for b in cli._BASELINES)
-    for protocol, row in _TABLE.items():
-        assert len(set(row.free) - {"rho_rf"}) <= widest, protocol
+def test_compare_points_column_fits_the_widest_count(default_file, capsys):
+    # from grid 465 on, c's and d's 465**3 points take nine digits
+    assert main(["compare", default_file, "--grid", "465"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert {len(line) for line in lines} == {len(lines[0])}
+    assert [line.split()[1] for line in lines[::7]] == ["points", str(465 ** 3)]
+
+
+def _built(row, grid):
+    """The tuples compare builds for a row at one go: every free axis of a row
+    it sweeps (one without RF), else its lightwave tuples or its rho_rf levels."""
+    if row.rf is None:
+        return grid ** len(row.free)
+    lightwave = [name for name in row.free if name != "rho_rf"]
+    return max(grid ** len(lightwave), grid if "rho_rf" in row.free else 1)
+
+
+def _no_work(patch):
+    """Make every RF ensemble and lightwave rate call fail: nothing may be built."""
+    def fail(*args):
+        raise AssertionError("a band term was built")
+
+    for kernel in ("mean_rf_received_power", "lightwave_rate"):
+        patch.setattr(protocols, kernel, fail)
+
+
+def _compare(path, grid):
+    """compare's exit code, stdout and stderr; an escaping exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["compare", str(path), "--grid", str(grid)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_rows(), st.sampled_from(ProtocolId), st.integers(2, 12), st.integers(4, 12 ** 3))
+def test_compare_on_any_row_exits_0_or_refuses_before_any_work(row_and_grid, replaced, grid,
+                                                             budget):
+    row, _ = row_and_grid
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp, "default.toml")
+        path.write_text("")
+        patch.setitem(_TABLE, replaced, row)
+        counts = {p: protocols.tuples_built(p, grid, merged=True) for p in ProtocolId}
+        assert counts == {p: _built(_TABLE[p], grid) for p in ProtocolId}
+        over = [p for p in ProtocolId if counts[p] > budget]
+        patch.setattr(protocols, "_MAX_SWEEP_TUPLES", budget)
+        if over:
+            _no_work(patch)
+        code, out, err = _compare(path, grid)
+    if not over:
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 8
+        return
+    first = over[0]
+    assert (code, out) == (2, "")
+    assert err == (f"error: protocol {first.value} at grid {grid} has {counts[first]:,} "
+                   f"control tuples; a sweep may evaluate at most {budget:,}\n")
+
+
+_SWEPT = protocols._SWEPT
+
+
+@pytest.mark.parametrize("row,grid,refusal", [
+    # rho_rf swept with the RF band off: the row is swept whole
+    (protocols._Protocol((_SWEPT, _SWEPT, 0.0, 0.0, _SWEPT), protocols._NIRL, None, None), 200,
+     "protocol a at grid 200 has 8,000,000 control tuples"),
+    # three lightwave axes beside the RF band: the band merge holds 150**3 terms
+    (protocols._Protocol((_SWEPT, _SWEPT, _SWEPT, 1.0, _SWEPT), protocols._NIRL,
+                         protocols._VL_FULL, protocols._RF_WPT), 150,
+     "protocol a at grid 150 has 3,375,000 control tuples"),
+], ids=["swept-rho-without-rf", "three-lightwave-axes"])
+def test_compare_refuses_an_oversized_row_before_any_work(default_file, monkeypatch, row, grid,
+                                                         refusal):
+    monkeypatch.setitem(_TABLE, ProtocolId.A, row)
+    _no_work(monkeypatch)
+    code, out, err = _compare(default_file, grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal}; a sweep may evaluate at most 2,097,152\n"
 
 
 def test_safety_default_reports_and_fails_on_lighting(default_file, capsys):
