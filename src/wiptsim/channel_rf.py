@@ -47,7 +47,7 @@ def mrt_received_power(tx_power_per_device, channel, path_gain):
 
 
 # Fading vectors drawn per chunk: bounds the ensemble's memory whatever
-# mc_samples is, while keeping the per-vector Python work to one vdot.
+# mc_samples is; a vector costs its draw plus one zdotc called from C.
 _CHUNK_ROWS = 512
 
 
@@ -57,16 +57,17 @@ _CHUNK_ROWS = 512
 def _mean_mrt_norm_sq(n_antennas, k_factor, seed, samples):
     # One seeded ensemble per (scenario) key so every sweep point shares
     # the identical channel draw set.  A (rows, 2, n) draw takes the
-    # generator's stream in the same order as one sample_rician per row
-    # ([i, 0] real, [i, 1] imaginary), and the norms are added one row at a
-    # time in draw order, so the mean equals the per-sample loop bit for bit
-    # (a vectorised norm or a compensated sum would not).
+    # generator's stream in the same order as one sample_rician per row.
+    # vecdot calls vdot's BLAS zdotc once per row, and the norms are added
+    # one at a time in draw order, so the mean equals the per-sample loop bit
+    # for bit (an |h|**2 row sum, np.sum or a compensated sum() would not).
     rng = np.random.default_rng(seed)
     total = 0.0
     for start in range(0, samples, _CHUNK_ROWS):
         draws = rng.standard_normal((min(_CHUNK_ROWS, samples - start), 2, n_antennas))
-        for h in _rician(k_factor, draws[:, 0], draws[:, 1]):
-            total += float(np.vdot(h, h).real)
+        h = _rician(k_factor, draws[:, 0], draws[:, 1])
+        for norm_sq in np.vecdot(h, h).real.tolist():
+            total += norm_sq
     return total / samples
 
 

@@ -38,11 +38,10 @@ def dbm_to_watts(dbm):
     return 10.0 ** (dbm / 10.0 - 3.0)
 
 
-# Fading-ensemble budget, checked before any draw.  A build costs about
-# 37 ns per channel entry plus 0.8 us per fading vector (one vdot and one
-# add), i.e. as much as _ENSEMBLE_VECTOR_ENTRIES entries (fitted over 1-128
-# antennas on a 2-vCPU host).  Bounding entries plus that per-vector share
-# makes the largest admitted ensemble take about 2 s at any antenna count.
+# Fading-ensemble budget, checked before any draw: entries plus a per-vector
+# share fitted when a vector cost 0.8 us of Python.  A vector now costs its
+# draw plus one zdotc called from C, so the bound is looser: the largest
+# admitted ensemble takes 0.2 s at 1 antenna to 2 s at 1024 (2-vCPU host).
 _ENSEMBLE_VECTOR_ENTRIES = 22
 _MAX_ENSEMBLE_COST = 50_000_000
 # Antennas per fading vector; bounds one 512-vector draw chunk to 16 MB.

@@ -1,13 +1,20 @@
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wiptsim
 from wiptsim import mean_rf_received_power, mrt_received_power, path_gain, sample_rician
 from wiptsim.channel_rf import _CHUNK_ROWS, _mean_mrt_norm_sq
+from wiptsim.scenario import _MAX_RF_ANTENNAS
 
 
 def test_sample_rician_deterministic():
@@ -143,3 +150,51 @@ def test_ensemble_memory_bounded_by_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("samples", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_antennas", [33, 64, 128, _MAX_RF_ANTENNAS])
+def test_wide_ensembles_equal_per_sample_draws(n_antennas, samples):
+    # Wider rows than the hypothesis test draws: BLAS may take another
+    # unrolled path there, and the row norms must still be vdot's.
+    chunked = _mean_mrt_norm_sq.__wrapped__(n_antennas, 3.981, 2024, samples)
+    assert chunked.hex() == _per_sample_mean(n_antennas, 3.981, 2024, samples).hex()
+
+
+def _in_process(coretype, code):
+    # OPENBLAS_CORETYPE is read once, when OpenBLAS loads, so each kernel
+    # needs a process of its own.  Other BLAS libraries ignore it.
+    src = Path(wiptsim.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=coretype)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+_BLAS_KEYS = [(n, 3.981, 7, 2 * _CHUNK_ROWS + 1) for n in (1, 4, 33, _MAX_RF_ANTENNAS)]
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell", "SkylakeX"])
+def test_chunked_ensemble_equals_per_sample_draws_under_each_blas_kernel(coretype):
+    # vecdot and vdot call the same zdotc whichever kernel OpenBLAS picks.
+    # The kernels themselves differ in the last bits (the default scenario's
+    # mean ends in ...a13 under Prescott and Haswell, ...a16 under SkylakeX),
+    # so each process is checked against the oracle run in that process.
+    code = ("from test_channel_rf import _BLAS_KEYS, _per_sample_mean; "
+            "from wiptsim.channel_rf import _mean_mrt_norm_sq as f; "
+            "print(*(f.__wrapped__(*k).hex() + '/' + _per_sample_mean(*k).hex() "
+            "for k in _BLAS_KEYS))")
+    pairs = [pair.split("/") for pair in _in_process(coretype, code)]
+    assert len(pairs) == len(_BLAS_KEYS)
+    assert all(chunked == per_sample for chunked, per_sample in pairs)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="pinned on OpenBLAS's x86-64 kernel")
+def test_default_ensemble_mean_pinned(scenario):
+    # Pinned from the per-vector vdot loop under Prescott, OpenBLAS's generic
+    # SSE kernel, which every x86-64 host runs: any change of draw, norm or
+    # sum order shows, whatever vector width the host's own kernel has.
+    s = scenario
+    code = ("from wiptsim.channel_rf import _mean_mrt_norm_sq as f; "
+            f"print(f.__wrapped__{(s.n_rf_antennas, s.rician_k, s.rng_seed, s.mc_samples)!r}.hex())")
+    assert _in_process("Prescott", code) == ["0x1.ff8adb5cdea13p+1"]
