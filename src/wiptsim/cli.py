@@ -38,46 +38,32 @@ _BASELINES = tuple(p for p in ProtocolId if sum(_TABLE[p].bands_on()) == 1)
 CSV_HEADER = "protocol,alpha_nirl,tau_nirl,alpha_vl,tau_vl,rho_rf,rate_bps,harvested_w"
 
 
-class _ControlText(dict):
-    """Control value -> its CSV text, formatted once per distinct value.
-
-    Zeros are never stored: -0.0 == 0.0, so a stored zero would lend its
-    text to the other sign.
-    """
-
-    def __missing__(self, v):
-        text = f"{v:.8e}"
-        if v:
-            self[v] = text
-        return text
-
-
 _CSV_BLOCK = 8192  # rows per block: amortises the numpy calls, bounds the boxed floats
 
 
 def _csv_rows(protocol, points):
     """The CSV text of a region's points in blocks of whole lines, header first.
 
-    A sequence of points is stored as columns first.  Consecutive rows
-    whose first four controls have the same bits (-0.0 is not 0.0) form a
-    run, whose line prefix is formatted once and whose rate and harvest go
-    through one %-template: "%.8e" % v equals format(v, ".8e").
+    A sequence of points is stored as columns first.  Each control level is
+    formatted once.  Consecutive rows with the same first four control indices
+    (levels are distinct by bits) form a run, whose line prefix is joined once
+    and whose rate and harvest go through one %-template: "%.8e" % v == format(v, ".8e").
     """
     yield CSV_HEADER + "\n"
     store = _Points.of(points, protocol)
-    text = _ControlText()  # a grid has few distinct control levels
+    texts = [[f"{v:.8e}" for v in levels.tolist()] for levels in store.levels]
     for start in range(0, len(store), _CSV_BLOCK):
-        rate, harvest, *controls = (c[start:start + _CSV_BLOCK] for c in store.columns)
-        bits = np.stack([c.view(np.int64) for c in controls[:4]])
-        changed = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-        runs = [0, *(np.flatnonzero(changed) + 1).tolist(), len(rate)]
-        fields = [None] * (3 * len(rate))  # rho_rf text, rate, harvest of each row
-        fields[0::3] = map(text.__getitem__, controls[4].tolist())
-        fields[1::3] = rate.tolist()
-        fields[2::3] = harvest.tolist()
-        firsts = zip(*(c[runs[:-1]].tolist() for c in controls[:4]))
+        block = store.take(slice(start, start + _CSV_BLOCK))
+        changed = np.any([column[1:] != column[:-1] for column in block.index[:4]], axis=0)
+        runs = [0, *(np.flatnonzero(changed) + 1).tolist(), len(block)]
+        fields = [None] * (3 * len(block))  # rho_rf text, rate, harvest of each row
+        fields[0::3] = map(texts[4].__getitem__, block.index[4].tolist())
+        fields[1::3] = block.rate.tolist()
+        fields[2::3] = block.harvest.tolist()
+        firsts = zip(*(map(text.__getitem__, column[runs[:-1]].tolist())
+                       for text, column in zip(texts[:4], block.index)))
         yield "".join(
-            (",".join([protocol.value, *map(text.__getitem__, first), "%s,%.8e,%.8e\n"])
+            (",".join([protocol.value, *first, "%s,%.8e,%.8e\n"])
              * (end - begin)) % tuple(fields[3 * begin:3 * end])
             for (begin, end), first in zip(itertools.pairwise(runs), firsts))
 

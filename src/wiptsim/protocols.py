@@ -216,8 +216,8 @@ class SweepBudgetError(ValueError):
 
 
 # Tuples an engine may build for one protocol at one go (tuples_built), grid
-# 128 on three axes.  A swept point keeps 56 bytes of float64 columns (117 MB
-# at the bound), a band term of compare 16 bytes.
+# 128 on three axes.  A swept point keeps 16 bytes of float64 rate and harvest
+# and 5-20 of control indices (44-76 MB at the bound), a band term of compare 16.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
@@ -372,11 +372,12 @@ class _Grid:
                    itertools.product(*self._axes))
 
     def columns(self, skip):
-        """Each control's float64 column over the tuples in order, less the positions in skip."""
-        keep = np.ones(len(self), dtype=bool)
-        keep[skip] = False
-        views = np.meshgrid(*self._axes, indexing="ij", copy=False)
-        return tuple(view[keep.reshape(view.shape)] for view in views)
+        """Each control's float64 levels and index column, less the positions in skip."""
+        shape = tuple(map(len, self._axes))
+        index = np.indices(shape, np.min_scalar_type(max(shape) - 1)).reshape(len(shape), -1)
+        if skip:  # protocol c's rejected tuples
+            index = np.delete(index, skip, axis=1)
+        return tuple(np.array(axis, dtype=np.float64) for axis in self._axes), tuple(index)
 
 
 def _axes(protocol, grid_points_per_axis):

@@ -17,22 +17,22 @@ from .protocols import (
     evaluate,
 )
 
-_RATE, _HARVEST = 0, 1  # column indices; the five controls follow in field order
+_FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts at one go: bounds its temporaries
 
 
 class _Points:
-    """A protocol's operating points, kept as seven float64 columns.
-
-    The columns hold the rate, the harvested power and the five controls
-    in field order, 56 bytes a point.  ``OperatingPoint``s are built only
-    when the store is indexed or iterated.
+    """A protocol's operating points: float64 rate and harvested power columns,
+    and each control as an index column into its float64 levels.  Levels are
+    distinct by bits (-0.0 is not 0.0), so equal indices mean equal bits; an
+    index takes the smallest unsigned dtype that fits (one byte a point up to
+    256 levels).  ``OperatingPoint``s are built only when indexed or iterated.
     """
 
-    __slots__ = ("protocol", "columns")
+    __slots__ = ("protocol", "rate", "harvest", "levels", "index")
 
-    def __init__(self, protocol, columns):
-        self.protocol = protocol
-        self.columns = columns
+    def __init__(self, protocol, rate, harvest, levels=(), index=()):
+        self.protocol, self.rate, self.harvest, self.levels, self.index = (
+            protocol, rate, harvest, levels, index)
 
     @classmethod
     def of(cls, points, protocol):
@@ -40,23 +40,30 @@ class _Points:
         if isinstance(points, cls):
             return points
         rows = [(p.rate, p.harvested_power, *p.controls) for p in points]
-        table = np.array(rows, dtype=np.float64)
-        return cls(protocol, tuple(table.reshape(-1, 7).T.copy()))
+        rate, harvest, *controls = np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy()
+        levels, index = zip(*(np.unique(c.view(np.int64), return_inverse=True) for c in controls))
+        return cls(protocol, rate, harvest, tuple(bits.view(np.float64) for bits in levels),
+                   tuple(i.astype(np.min_scalar_type(i.max(initial=0))) for i in index))
+
+    # rate, harvested power and the controls as seven float64 columns, built on demand
+    columns = property(lambda self: (self.rate, self.harvest,
+                                     *map(np.take, self.levels, self.index)))
 
     def rows(self):
         """(rate, harvested power, five controls) float tuples, in order."""
         return zip(*map(memoryview, self.columns))  # boxes one row at a time
 
     def take(self, index):
-        """A new store of the points at the given indices, in that order."""
-        return _Points(self.protocol, tuple(column[index] for column in self.columns))
+        """A new store of the points at the given indices (or slice), in that order."""
+        return _Points(self.protocol, self.rate[index], self.harvest[index], self.levels,
+                       tuple(column[index] for column in self.index))
 
     def _point(self, row):
         rate, harvest, *controls = row
         return OperatingPoint(rate, harvest, ProtocolControls(*controls), self.protocol)
 
     def __len__(self):
-        return len(self.columns[_RATE])
+        return len(self.rate)
 
     def __iter__(self):
         return map(self._point, self.rows())
@@ -64,7 +71,8 @@ class _Points:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return self._point([column.item(i) for column in self.columns])
+        return self._point([self.rate.item(i), self.harvest.item(i),
+                            *(v.item(k.item(i)) for v, k in zip(self.levels, self.index))])
 
     def __eq__(self, other):
         if not isinstance(other, _Points):
@@ -76,8 +84,8 @@ class _Points:
 class _Sink:
     """A sweep's rates and harvested powers, and the grid positions it rejected.
 
-    Only these two floats are stored per swept tuple; the control columns
-    are built from the grid's axes once the sweep ends.
+    Only these two floats are stored per swept tuple; the control index
+    columns are built from the grid's shape once the sweep ends.
     """
 
     __slots__ = ("rate", "harvest", "rejected")
@@ -94,8 +102,8 @@ class _Sink:
 
     def store(self, protocol, grid):
         """The swept points as a column store."""
-        swept = (np.frombuffer(self.rate), np.frombuffer(self.harvest))
-        return _Points(protocol, swept + grid.columns(self.rejected))
+        return _Points(protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
+                       *grid.columns(self.rejected))
 
 
 class DegenerateRegionError(RuntimeError):
@@ -143,18 +151,36 @@ def sweep(scenario, protocol, grid_points_per_axis):
     )
 
 
-def _frontier(rate, harvest):
+def _sorted_frontier(rate, harvest):
     """Indices of the Pareto-maximal points, by ascending rate (see pareto)."""
-    # Rate falling, then harvest falling; lexsort is stable, so among equal
-    # (rate, harvest) keys the first in input order comes first.  A point is
-    # kept when its harvest beats every point sorted before it (Kung,
-    # Luccio & Preparata, J. ACM 22(4), 1975).
+    # Rate falling, then harvest falling, stably, so the first of equal points
+    # comes first; a point is kept when its harvest beats every one before it.
     order = np.lexsort((-harvest, -rate))
     sorted_harvest = harvest[order]
     best_before = np.empty_like(sorted_harvest)
     best_before[:1] = -np.inf
     np.maximum.accumulate(sorted_harvest[:-1], out=best_before[1:])
     return order[sorted_harvest > best_before][::-1]
+
+
+def _frontier(blocks):
+    """_sorted_frontier of (first row, rate, harvest) blocks laid end to end: the
+    frontier of the blocks' frontiers (Kung, Luccio & Preparata, J. ACM 22(4),
+    1975).  Those hold no two equal points and stay in block order, so the
+    first of equal points is still the one kept."""
+    kept, survivors = [], []
+    for start, *block in blocks:
+        index = _sorted_frontier(*block)
+        kept.append(start + index)
+        survivors.append([column[index] for column in block])
+    if len(kept) == 1:  # one block's frontier is the whole frontier
+        return kept[0]
+    return np.concatenate(kept)[_sorted_frontier(*np.concatenate(survivors, axis=1))]
+
+
+def _blocks(rate, harvest):  # at least one, so an empty input has an empty frontier
+    return ((k, rate[k:k + _FRONTIER_BLOCK], harvest[k:k + _FRONTIER_BLOCK])
+            for k in range(0, len(rate) or 1, _FRONTIER_BLOCK))
 
 
 def pareto(points):
@@ -166,27 +192,27 @@ def pareto(points):
     any other sequence gives a list of its own point objects.
     """
     if isinstance(points, _Points):
-        return points.take(_frontier(points.columns[_RATE], points.columns[_HARVEST]))
+        return points.take(_frontier(_blocks(points.rate, points.harvest)))
     points = list(points)
     rate = np.fromiter((p.rate for p in points), np.float64, len(points))
     harvest = np.fromiter((p.harvested_power for p in points), np.float64, len(points))
-    return [points[i] for i in _frontier(rate, harvest)]
+    return [points[i] for i in _frontier(_blocks(rate, harvest))]
 
 
-def _frontier_end(region, k, end):
+def _frontier_end(region, column, end):
     if not region.frontier:
         raise DegenerateRegionError("region holds no points")
-    return float(region.frontier.columns[k][end])
+    return float(getattr(region.frontier, column)[end])
 
 
 def max_rate(region):
     """Largest rate over the region's points: its last frontier point's."""
-    return _frontier_end(region, _RATE, -1)
+    return _frontier_end(region, "rate", -1)
 
 
 def max_energy(region):
     """Largest harvested power over the region's points: its first frontier point's."""
-    return _frontier_end(region, _HARVEST, 0)
+    return _frontier_end(region, "harvest", 0)
 
 
 def dominates(a, b):
@@ -196,8 +222,8 @@ def dominates(a, b):
     fast as a point q of b form a suffix, and q is dominated when the best
     harvest of that suffix reaches q's.
     """
-    a_rate, a_harvest = a.frontier.columns[_RATE], a.frontier.columns[_HARVEST]
-    b_rate, b_harvest = b.frontier.columns[_RATE], b.frontier.columns[_HARVEST]
+    a_rate, a_harvest = a.frontier.rate, a.frontier.harvest
+    b_rate, b_harvest = b.frontier.rate, b.frontier.harvest
     first = np.searchsorted(a_rate, b_rate)  # first point of a with rate >= q's
     if np.any(first == len(a_rate)):
         return False
@@ -205,8 +231,7 @@ def dominates(a, b):
     return bool(np.all(best_after[first] >= b_harvest))
 
 
-# A region known by its frontier alone, whose rate and harvest columns are all
-# that max_rate, max_energy and dominates read (a merged one holds no others).
+# A region known by its frontier alone: all that max_rate, max_energy and dominates read.
 _FrontierOnly = namedtuple("_FrontierOnly", "frontier")
 
 
@@ -218,8 +243,9 @@ def _band_merge(scenario, protocol, grid_points_per_axis):
     Pareto(A + B) lies within Pareto(A) + Pareto(B) (Ehrgott, Multicriteria
     Optimization, 2005).  Correctly rounded addition never decreases when
     an addend grows, so the sums of the band frontiers, added in evaluate's
-    order, have the full sweep's frontier values bit for bit.  Errors are
-    sweep's.
+    order, have the full sweep's frontier values bit for bit.  The sums are
+    built and filtered a block of lightwave rows by every RF row at a time
+    (about _FRONTIER_BLOCK sums), never all at once.  Errors are sweep's.
     """
     if _TABLE[protocol].rf is None:
         region = sweep(scenario, protocol, grid_points_per_axis)
@@ -230,7 +256,9 @@ def _band_merge(scenario, protocol, grid_points_per_axis):
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
     count = int(feasible.sum()) * len(rf)
-    lightwave, rf = (terms[_frontier(*terms.T)] for terms in (lightwave[feasible], rf))
-    sums = (lightwave[:, None, :] + rf[None, :, :]).reshape(-1, 2)
-    frontier = sums[_frontier(*sums.T)]
-    return count, _FrontierOnly(_Points(protocol, tuple(frontier.T)))
+    lightwave, rf = (terms[_frontier(_blocks(*terms.T))] for terms in (lightwave[feasible], rf))
+    rows = max(1, _FRONTIER_BLOCK // len(rf))
+    kept = _frontier((k * len(rf), *(lightwave[k:k + rows, None] + rf).reshape(-1, 2).T)
+                     for k in range(0, len(lightwave), rows))
+    frontier = lightwave[kept // len(rf)] + rf[kept % len(rf)]  # the kept sums, rebuilt
+    return count, _FrontierOnly(_Points(protocol, *frontier.T))

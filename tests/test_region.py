@@ -368,6 +368,51 @@ def test_pareto_equals_brute_force_on_lists_and_columns(points):
     assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
 
 
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=100, deadline=None)
+@given(points=_points(_TIED, max_size=60))
+def test_blocked_pareto_equals_brute_force(block, points):
+    # the frontier of the blocks' frontiers, filtered again in input order,
+    # keeps the same first duplicate (0.0 against -0.0 included)
+    points = _indexed(points)
+    slow = brute_force_frontier(points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(region_module, "_FRONTIER_BLOCK", block)
+        fast = pareto(points)
+        columns = pareto(RateEnergyRegion(points, (), ProtocolId.D, 2).points)
+    assert len(fast) == len(slow) and all(a is b for a, b in zip(fast, slow))
+    assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
+
+
+def _assert_store_invariants(store):
+    assert len(store.levels) == len(store.index) == 5
+    for levels, index in zip(store.levels, store.index):
+        assert levels.dtype == np.float64 and index.dtype.kind == "u"
+        assert len(index) == len(store) and (len(index) == 0 or index.max() < len(levels))
+        assert len(np.unique(levels.view(np.int64))) == len(levels)  # distinct by bits
+
+
+@pytest.mark.parametrize("protocol,grid,dtype", [
+    (ProtocolId.D, 2, np.uint8), (ProtocolId.C, 21, np.uint8), (ProtocolId.A, 33, np.uint8),
+    (ProtocolId.RF_ONLY, 256, np.uint8), (ProtocolId.RF_ONLY, 257, np.uint16)])
+def test_swept_store_keeps_distinct_levels_and_small_indices(lux_gated_scenario, protocol,
+                                                             grid, dtype):
+    region = sweep(lux_gated_scenario, protocol, grid)
+    for store in (region.points, region.frontier):
+        _assert_store_invariants(store)
+        assert all(index.dtype == dtype for index in store.index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points())
+def test_stored_list_keeps_distinct_levels(points):
+    store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
+    _assert_store_invariants(store)
+    for k, levels in enumerate(store.levels):  # one level for each bit pattern used
+        bits = {np.float64(p.controls[k]).view(np.int64).item() for p in points}
+        assert sorted(levels.view(np.int64).tolist()) == sorted(bits)
+
+
 def _dominates_oracle(a, b):
     """The pairwise test: each point of b's frontier under some point of a's."""
     return all(any(p.rate >= q.rate and p.harvested_power >= q.harvested_power
@@ -401,6 +446,22 @@ def test_sweep_memory_per_point(scenario):
         tracemalloc.stop()
     assert len(region.points) == 41 ** 3
     assert peak / len(region.points) < 120
+
+
+def test_sweep_keeps_controls_as_index_columns(scenario):
+    # 16 bytes of rate and harvest and 5 of uint8 indices a point, plus the
+    # Pareto filter's blocks: about 29 bytes a point traced.  Float64 control
+    # columns would add 35 more.
+    sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        region = sweep(scenario, ProtocolId.D, 61)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(region.points) == 61 ** 3
+    assert peak / len(region.points) < 40
 
 
 def _cold_outcome(scenario, protocol, controls):
@@ -519,6 +580,26 @@ def _assert_merge_equals_sweep(s, protocol, grid):
 def test_band_merge_equals_sweep_on_random_scenarios(s, grid):
     for protocol in ProtocolId:
         _assert_merge_equals_sweep(s, protocol, grid)
+
+
+def _merged_bits(s, protocol, grid):
+    try:
+        count, merged = region_module._band_merge(s, protocol, grid)
+    except (ScenarioValidationError, DegenerateRegionError) as exc:
+        return type(exc), str(exc)
+    return count, [column.view(np.int64).tolist() for column in merged.frontier.columns]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_scenarios(), st.integers(2, 6))
+def test_blocked_band_merge_equals_one_block(s, grid):
+    for protocol in ProtocolId:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(region_module, "_FRONTIER_BLOCK", 1 << 62)  # one block
+            want = _merged_bits(s, protocol, grid)
+            for block in (1, 2, 7):
+                patch.setattr(region_module, "_FRONTIER_BLOCK", block)
+                assert _merged_bits(s, protocol, grid) == want, (protocol, block)
 
 
 @st.composite
