@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .region import (_Points, DegenerateRegionError, _band_merge, dominates, max_energy,
-                     max_rate, sweep)
+from .region import DegenerateRegionError, _band_merge, dominates, max_energy, max_rate, sweep
 from .protocols import _TABLE, ProtocolId, SweepBudgetError, tuples_built
 from .safety import evaluate_safety
 from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
@@ -41,16 +40,14 @@ CSV_HEADER = "protocol,alpha_nirl,tau_nirl,alpha_vl,tau_vl,rho_rf,rate_bps,harve
 _CSV_BLOCK = 8192  # rows per block: amortises the numpy calls, bounds the boxed floats
 
 
-def _csv_rows(protocol, points):
-    """The CSV text of a region's points in blocks of whole lines, header first.
+def _csv_rows(store):
+    """The CSV text of a region's column store in blocks of whole lines, header first.
 
-    A sequence of points is stored as columns first.  Each control level is
-    formatted once.  Consecutive rows with the same first four control indices
-    (levels are distinct by bits) form a run, whose line prefix is joined once
-    and whose rate and harvest go through one %-template: "%.8e" % v == format(v, ".8e").
+    Each control level is formatted once.  Consecutive rows with the same first four
+    control indices (levels are distinct by bits) form a run, whose line prefix is joined
+    once and whose rate and harvest go through one %-template: "%.8e" % v == format(v, ".8e").
     """
     yield CSV_HEADER + "\n"
-    store = _Points.of(points, protocol)
     texts = [[f"{v:.8e}" for v in levels.tolist()] for levels in store.levels]
     for start in range(0, len(store), _CSV_BLOCK):
         block = store.take(slice(start, start + _CSV_BLOCK))
@@ -63,7 +60,7 @@ def _csv_rows(protocol, points):
         firsts = zip(*(map(text.__getitem__, column[runs[:-1]].tolist())
                        for text, column in zip(texts[:4], block.index)))
         yield "".join(
-            (",".join([protocol.value, *first, "%s,%.8e,%.8e\n"])
+            (",".join([store.protocol.value, *first, "%s,%.8e,%.8e\n"])
              * (end - begin)) % tuple(fields[3 * begin:3 * end])
             for (begin, end), first in zip(itertools.pairwise(runs), firsts))
 
@@ -106,8 +103,8 @@ def cmd_region(scenario, protocol, grid, out_path):
     out = Path(out_path)
     frontier_path = out.with_name(out.name.removesuffix(".csv") + ".frontier.csv")
     try:
-        _write_together([(out_path, _csv_rows(protocol, region.points)),
-                         (frontier_path, _csv_rows(protocol, region.frontier))])
+        _write_together([(out_path, _csv_rows(region.points)),
+                         (frontier_path, _csv_rows(region.frontier))])
     except OSError as exc:
         print(f"error: cannot write '{out_path}' and '{frontier_path}': {exc}",
               file=sys.stderr)

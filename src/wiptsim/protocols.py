@@ -215,9 +215,11 @@ class SweepBudgetError(ValueError):
     """A protocol's engine would build more than _MAX_SWEEP_TUPLES tuples at one go."""
 
 
-# Tuples an engine may build for one protocol at one go (tuples_built), grid
-# 128 on three axes.  A swept point keeps 16 bytes of float64 rate and harvest
-# and 5-20 of control indices (44-76 MB at the bound), a band term of compare 16.
+# Tuples an engine may build for one protocol at one go (tuples_built), grid 128 on
+# three axes.  A swept point keeps 16 bytes of rate and harvest and 5-8 of control
+# indices (44-50 MB at the bound), a band term of compare 16.  The CLI peaks at 82 MB
+# of RSS for region d --grid 128 or vl --grid 1448, and at 376 MB for rf --grid
+# 2097152: every rf point is on its frontier, and its level texts are made up front.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
@@ -356,28 +358,20 @@ def evaluate(scenario, protocol, controls):
 
 
 class _Grid:
-    """A protocol's control tuples, built one at a time as they are iterated."""
+    """A protocol's five control ``axes`` and their tuples, built one at a time."""
 
-    __slots__ = ("_axes",)
+    __slots__ = ("axes",)
 
     def __init__(self, axes):
-        self._axes = axes
+        self.axes = axes
 
     def __len__(self):
-        return math.prod(map(len, self._axes))
+        return math.prod(map(len, self.axes))
 
     def __iter__(self):
         # enumerate_controls checked every level, so no tuple needs __new__
         return map(tuple.__new__, itertools.repeat(ProtocolControls),
-                   itertools.product(*self._axes))
-
-    def columns(self, skip):
-        """Each control's float64 levels and index column, less the positions in skip."""
-        shape = tuple(map(len, self._axes))
-        index = np.indices(shape, np.min_scalar_type(max(shape) - 1)).reshape(len(shape), -1)
-        if skip:  # protocol c's rejected tuples
-            index = np.delete(index, skip, axis=1)
-        return tuple(np.array(axis, dtype=np.float64) for axis in self._axes), tuple(index)
+                   itertools.product(*self.axes))
 
 
 def _axes(protocol, grid_points_per_axis):

@@ -20,13 +20,17 @@ from .protocols import (
 _FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts at one go: bounds its temporaries
 
 
+def _index_dtype(levels):
+    """The smallest unsigned dtype that indexes this many levels (uint8 up to 256)."""
+    return np.min_scalar_type(max(levels - 1, 0))
+
+
 class _Points:
     """A protocol's operating points: float64 rate and harvested power columns,
-    and each control as an index column into its float64 levels.  Levels are
-    distinct by bits (-0.0 is not 0.0), so equal indices mean equal bits; an
-    index takes the smallest unsigned dtype that fits (one byte a point up to
-    256 levels).  ``OperatingPoint``s are built only when indexed or iterated.
-    """
+    and each control as an index column, in _index_dtype of its own level
+    count, into its float64 levels.  Levels are distinct by bits (-0.0 is not
+    0.0), so equal indices mean equal bits.  Only this module builds a store
+    (``of``, ``_Sink.store``); ``OperatingPoint``s are built only when used."""
 
     __slots__ = ("protocol", "rate", "harvest", "levels", "index")
 
@@ -43,7 +47,7 @@ class _Points:
         rate, harvest, *controls = np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy()
         levels, index = zip(*(np.unique(c.view(np.int64), return_inverse=True) for c in controls))
         return cls(protocol, rate, harvest, tuple(bits.view(np.float64) for bits in levels),
-                   tuple(i.astype(np.min_scalar_type(i.max(initial=0))) for i in index))
+                   tuple(i.astype(_index_dtype(len(bits))) for i, bits in zip(index, levels)))
 
     # rate, harvested power and the controls as seven float64 columns, built on demand
     columns = property(lambda self: (self.rate, self.harvest,
@@ -82,16 +86,13 @@ class _Points:
 
 
 class _Sink:
-    """A sweep's rates and harvested powers, and the grid positions it rejected.
-
-    Only these two floats are stored per swept tuple; the control index
-    columns are built from the grid's shape once the sweep ends.
-    """
+    """A sweep's rates and harvested powers (two floats a tuple) and rejected grid
+    positions (eight bytes each); the index columns come from the axes at the end."""
 
     __slots__ = ("rate", "harvest", "rejected")
 
     def __init__(self):
-        self.rate, self.harvest, self.rejected = array("d"), array("d"), []
+        self.rate, self.harvest, self.rejected = array("d"), array("d"), array("q")
 
     def append(self, point):
         self.rate.append(point[0])
@@ -100,10 +101,17 @@ class _Sink:
     def reject(self):
         self.rejected.append(len(self.rate) + len(self.rejected))
 
-    def store(self, protocol, grid):
-        """The swept points as a column store."""
+    def store(self, protocol, axes):
+        """The swept points as a column store over the grid's axes."""
+        shape = tuple(map(len, axes))
+        index = [np.empty(shape, _index_dtype(n)) for n in shape]
+        for column, positions in zip(index, np.indices(shape, sparse=True)):
+            column[...] = positions  # each control's grid index, in its own width, in C order
+        if self.rejected:
+            index = [np.delete(column, self.rejected) for column in index]
         return _Points(protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
-                       *grid.columns(self.rejected))
+                       tuple(np.array(axis, dtype=np.float64) for axis in axes),
+                       tuple(column.reshape(-1) for column in index))
 
 
 class DegenerateRegionError(RuntimeError):
@@ -142,7 +150,7 @@ def sweep(scenario, protocol, grid_points_per_axis):
         raise DegenerateRegionError(
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
-    points = points.store(protocol, grid)
+    points = points.store(protocol, grid.axes)
     return RateEnergyRegion(
         points=points,
         frontier=pareto(points),

@@ -352,9 +352,9 @@ def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monk
     real_rows = cli._csv_rows
     calls = []
 
-    def failing_rows(protocol, points):
-        calls.append(protocol)
-        rows = real_rows(protocol, points)
+    def failing_rows(store):
+        calls.append(store)
+        rows = real_rows(store)
         if len(calls) == 2:  # the frontier file
             yield next(rows)
             raise OSError("disk full")
@@ -382,7 +382,7 @@ def test_region_unwritable_out_exits_5(default_file, tmp_path, capsys):
 
 def test_failed_write_removes_the_directories_it_made(default_file, tmp_path, monkeypatch,
                                                      capsys):
-    def failing_rows(protocol, points):
+    def failing_rows(store):
         yield CSV_HEADER + "\n"
         raise OSError("disk full")
 

@@ -29,7 +29,7 @@ from wiptsim import (
 )
 from wiptsim import cli, protocols
 from wiptsim import region as region_module
-from wiptsim.cli import _csv_rows
+from wiptsim.cli import CSV_HEADER, _csv_rows
 from test_scenario import _valid_scenarios
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -266,7 +266,7 @@ def test_region_csv_golden_bytes(scenario, variant, protocol):
     if (variant, protocol) == ("lux_gated", ProtocolId.C):
         assert len(region.points) == 9261 - 5418
     digests = tuple(
-        hashlib.sha256("".join(_csv_rows(protocol, pts)).encode()).hexdigest()
+        hashlib.sha256("".join(_csv_rows(pts)).encode()).hexdigest()
         for pts in (region.points, region.frontier)
     )
     assert digests == _GOLDEN[variant, protocol.value]
@@ -279,7 +279,7 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
                 ProtocolControls(0.0, -0.0, 0.5, 0.5, 0.0)]
     points = [OperatingPoint(1.0 + i, -0.0 if i else 0.0, c, ProtocolId.D)
               for i, c in enumerate(controls)]
-    lines = "".join(_csv_rows(ProtocolId.D, points)).split("\n")
+    lines = "".join(_csv_rows(RateEnergyRegion(points, (), ProtocolId.D, 2).points)).split("\n")
     assert len(lines) == 5 and lines[-1] == ""
     for line, p in zip(lines[1:], points):
         c = p.controls
@@ -300,11 +300,11 @@ def test_percent_e_equals_format_e(v):
 def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
     points = sweep(scenario, ProtocolId.C, 4).points
-    blocks = list(_csv_rows(ProtocolId.C, points))
+    blocks = list(_csv_rows(points))
     assert all(block.endswith("\n") for block in blocks)
     assert [block.count("\n") for block in blocks] == [1] + [7] * 9 + [1]  # 64 rows
     monkeypatch.undo()
-    assert "".join(blocks) == "".join(_csv_rows(ProtocolId.C, points))
+    assert "".join(blocks) == "".join(_csv_rows(points))
 
 
 def _hex(point):
@@ -341,7 +341,10 @@ def test_store_round_trips_bit_for_bit(points):
     assert [_hex(p) for p in store[1::2]] == want[1::2]
     assert [tuple(v.hex() for v in row) for row in store.rows()] == want
     assert store == RateEnergyRegion(list(store), (), ProtocolId.D, 2).points
-    assert "".join(_csv_rows(ProtocolId.D, store)) == "".join(_csv_rows(ProtocolId.D, points))
+    lines = (",".join(["d", *(format(v, ".8e") for v in (*p.controls, p.rate,
+                                                          p.harvested_power))]) + "\n"
+             for p in points)
+    assert "".join(_csv_rows(store)) == CSV_HEADER + "\n" + "".join(lines)
 
 
 # A handful of values makes ties in rate, in harvest and exact duplicates
@@ -390,17 +393,32 @@ def _assert_store_invariants(store):
         assert levels.dtype == np.float64 and index.dtype.kind == "u"
         assert len(index) == len(store) and (len(index) == 0 or index.max() < len(levels))
         assert len(np.unique(levels.view(np.int64))) == len(levels)  # distinct by bits
+        # the narrowest unsigned width that indexes this control's own levels
+        assert len(levels) <= 256 ** index.dtype.itemsize
+        assert index.dtype == np.uint8 or len(levels) > 256 ** (index.dtype.itemsize // 2)
 
 
-@pytest.mark.parametrize("protocol,grid,dtype", [
+def _index_bytes_held(store):
+    """Bytes of the arrays that own the store's index columns' memory."""
+    owners = {id(a): a for a in (i if i.base is None else i.base for i in store.index)}
+    return sum(a.nbytes for a in owners.values())
+
+
+@pytest.mark.parametrize("protocol,grid,free_dtype", [
     (ProtocolId.D, 2, np.uint8), (ProtocolId.C, 21, np.uint8), (ProtocolId.A, 33, np.uint8),
-    (ProtocolId.RF_ONLY, 256, np.uint8), (ProtocolId.RF_ONLY, 257, np.uint16)])
+    (ProtocolId.RF_ONLY, 256, np.uint8), (ProtocolId.RF_ONLY, 257, np.uint16),
+    (ProtocolId.RF_ONLY, 70000, np.uint32)])
 def test_swept_store_keeps_distinct_levels_and_small_indices(lux_gated_scenario, protocol,
-                                                             grid, dtype):
+                                                             grid, free_dtype):
+    # a free control has grid levels, a pinned one a single level
+    free = protocols.free_controls(protocol)
+    want = [free_dtype if name in free else np.uint8 for name in protocols._CONTROL_NAMES]
     region = sweep(lux_gated_scenario, protocol, grid)
     for store in (region.points, region.frontier):
         _assert_store_invariants(store)
-        assert all(index.dtype == dtype for index in store.index)
+        assert [index.dtype for index in store.index] == want
+        # no index column keeps a wider matrix alive
+        assert _index_bytes_held(store) == sum(index.nbytes for index in store.index)
 
 
 @settings(max_examples=100, deadline=None)
@@ -462,6 +480,23 @@ def test_sweep_keeps_controls_as_index_columns(scenario):
         tracemalloc.stop()
     assert len(region.points) == 61 ** 3
     assert peak / len(region.points) < 40
+
+
+def test_rejecting_sweep_keeps_positions_in_a_typed_array(lux_gated_scenario):
+    # c rejects 58% of its tuples here: 16 bytes of rate and harvest and 5 of
+    # uint8 indices a kept point, 8 bytes a rejected position, and the index
+    # columns np.delete filters: about 20 bytes a tuple traced.  Rejected
+    # positions kept as a list of Python ints read 46.8.
+    sweep(lux_gated_scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        region = sweep(lux_gated_scenario, ProtocolId.C, 41)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(region.points) < 41 ** 3
+    assert peak / 41 ** 3 < 35
 
 
 def _cold_outcome(scenario, protocol, controls):
