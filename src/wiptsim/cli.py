@@ -16,7 +16,6 @@ each sub-model's keys, then the others in file order, each check across
 keys after the keys it reads.  A file may begin with a byte-order mark."""
 
 import argparse
-import itertools
 import os
 import sys
 import uuid
@@ -37,32 +36,123 @@ _BASELINES = tuple(p for p in ProtocolId if sum(_TABLE[p].bands_on()) == 1)
 CSV_HEADER = "protocol,alpha_nirl,tau_nirl,alpha_vl,tau_vl,rho_rf,rate_bps,harvested_w"
 
 
-_CSV_BLOCK = 8192  # rows per block: amortises the numpy calls, bounds the boxed floats
+_CSV_BLOCK = 4096  # rows per block: amortises the numpy calls, bounds the block's bytes
+
+_E8_WIDTH = 16  # the longest "%.8e" text of a float: "-1.79769313e+308"
+_DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # each exact: 5**22 < 2**53
+
+
+def _cells(rows):
+    """Each row of a uint8 matrix whose rows are contiguous as one void item."""
+    return rows.view(f"V{rows.shape[1]}")[:, 0]
+
+
+_DIGITS3, _DIGITS2 = _cells(_DIGITS), _cells(_DIGITS[:, 1:].copy())  # "000".."999", "00".."99"
+
+
+def _e8_texts(values):
+    """Python's own "%.8e" texts of a float64 array, as NUL-padded uint8 rows."""
+    texts = np.array([f"{v:.8e}" for v in values.tolist()], dtype=f"S{_E8_WIDTH}")
+    return texts.view(np.uint8).reshape(len(texts), _E8_WIDTH)
+
+
+def _e8(values):
+    """The "%.8e" texts of a float64 array as one void item each, and whether
+    any is NUL-padded (shorter than the widest).
+
+    With e = floor(log10|v|), s = |v| * 10**(8 - e) is one correctly rounded
+    product or quotient by an exact power of ten while |8 - e| <= 22, so below
+    1e9 it is within 2**-24 of the exact scaled value.  Where s lies in
+    [1e8 + 1e-6, 1e9 - 1) and its fraction is more than 1e-6 from one half, the
+    exact value has the same decade and rounds to the same nine digits, rint(s),
+    as Python's correctly rounded "%.8e" (Gay, 1990).  A wrong e fails the decade
+    check.  +-0.0 is spelled out from s = 0; every other value (a tie, a decade
+    edge, e outside [-14, 30], a subnormal) is formatted by Python.
+    """
+    a = np.abs(values)
+    with np.errstate(all="ignore"):  # 0.0, inf, nan, and 1e8 * |v| past 1e308
+        p = 8 - np.floor(np.log10(a))
+        # 0.0, inf, nan and every other |8 - e| > 22 get p = 8, e = 0: all but 0.0
+        # fail the decade check, which only a value with p = 8 itself passes
+        p = np.where(np.abs(p) <= 22, p, 8).astype(np.intp)
+        s = a * _POW10[np.maximum(p, 0)]
+        np.divide(a, _POW10[np.maximum(-p, 0)], out=s, where=p < 0)
+        kept = (s >= 1e8 + 1e-6) & (s < 1e9 - 1) & (np.abs(s - np.floor(s) - 0.5) > 1e-6)
+        kept |= a == 0
+    head, tail = np.divmod(np.where(kept, np.rint(s), 1e8).astype(np.int64), 1_000_000)
+    mid, low = np.divmod(tail, 1000)
+    e = 8 - p  # in [-14, 30]
+    negative = np.signbit(values)
+    signed = bool(negative.any())
+    rows = np.zeros((len(values), 14 + signed), np.uint8)
+    if signed:
+        rows[negative, 0] = ord("-")
+    body = rows[:, signed:]  # d.dddddddde+dd
+    body[:, 0] = head // 100 + ord("0")
+    body[:, 1] = ord(".")
+    _cells(body[:, 2:4])[:] = _DIGITS2[head % 100]
+    _cells(body[:, 4:7])[:] = _DIGITS3[mid]
+    _cells(body[:, 7:10])[:] = _DIGITS3[low]
+    body[:, 10] = ord("e")
+    body[:, 11] = np.where(e < 0, ord("-"), ord("+"))
+    _cells(body[:, 12:])[:] = _DIGITS2[np.abs(e)]
+    other = np.flatnonzero(~kept)
+    if not len(other):
+        return _cells(rows), signed
+    texts = _e8_texts(values[other])
+    width = max(rows.shape[1], int(np.count_nonzero(texts, axis=1).max()))
+    wide = np.zeros((len(values), width), np.uint8)
+    wide[:, :rows.shape[1]] = rows
+    wide[other] = texts[:, :width]
+    return _cells(wide), True
+
+
+def _level_texts(levels):
+    """A control's level texts as one void item each, formatted _CSV_BLOCK levels
+    at a time into one matrix, and which of them are NUL-padded (None if none is
+    shorter than the longest: the common case, which then costs no gather)."""
+    rows = np.empty((len(levels), _E8_WIDTH), np.uint8)
+    lengths = np.empty(len(levels), np.uint8)
+    for start in range(0, len(levels), _CSV_BLOCK):
+        chunk = rows[start:start + _CSV_BLOCK]
+        chunk[...] = _e8_texts(levels[start:start + _CSV_BLOCK])
+        lengths[start:start + _CSV_BLOCK] = np.count_nonzero(chunk, axis=1)
+    width = lengths.max()
+    return _cells(rows[:, :width]), (lengths < width if lengths.min() < width else None)
 
 
 def _csv_rows(store):
     """The CSV text of a region's column store in blocks of whole lines, header first.
 
-    Each control level is formatted once.  Consecutive rows with the same first four
-    control indices (levels are distinct by bits) form a run, whose line prefix is joined
-    once and whose rate and harvest go through one %-template: "%.8e" % v == format(v, ".8e").
+    Each block of _CSV_BLOCK rows is one uint8 matrix: the protocol, the five
+    control level texts gathered by the store's index columns (each level is
+    formatted once), rate and harvest through _e8, the commas and the newline.
+    A block whose fields differ in width is NUL-padded, then compacted.
     """
     yield CSV_HEADER + "\n"
-    texts = [[f"{v:.8e}" for v in levels.tolist()] for levels in store.levels]
+    if not len(store):
+        return
+    levels = [_level_texts(v) for v in store.levels]
+    protocol = store.protocol.value.encode()
     for start in range(0, len(store), _CSV_BLOCK):
-        block = store.take(slice(start, start + _CSV_BLOCK))
-        changed = np.any([column[1:] != column[:-1] for column in block.index[:4]], axis=0)
-        runs = [0, *(np.flatnonzero(changed) + 1).tolist(), len(block)]
-        fields = [None] * (3 * len(block))  # rho_rf text, rate, harvest of each row
-        fields[0::3] = map(texts[4].__getitem__, block.index[4].tolist())
-        fields[1::3] = block.rate.tolist()
-        fields[2::3] = block.harvest.tolist()
-        firsts = zip(*(map(text.__getitem__, column[runs[:-1]].tolist())
-                       for text, column in zip(texts[:4], block.index)))
-        yield "".join(
-            (",".join([store.protocol.value, *first, "%s,%.8e,%.8e\n"])
-             * (end - begin)) % tuple(fields[3 * begin:3 * end])
-            for (begin, end), first in zip(itertools.pairwise(runs), firsts))
+        part = slice(start, start + _CSV_BLOCK)
+        fields = [(texts[column[part]], short is not None and short[column[part]].any())
+                  for (texts, short), column in zip(levels, store.index)]
+        fields += [_e8(store.rate[part]), _e8(store.harvest[part])]
+        widths = [len(protocol), *(texts.itemsize for texts, _ in fields)]
+        # each field and its comma or, after the last, the newline
+        block = np.empty((len(fields[0][0]), sum(widths) + len(widths)), np.uint8)
+        _cells(block[:, :len(protocol)])[:] = protocol
+        at = len(protocol)
+        for texts, _ in fields:
+            block[:, at] = ord(",")
+            _cells(block[:, at + 1:at + 1 + texts.itemsize])[:] = texts
+            at += 1 + texts.itemsize
+        block[:, at] = ord("\n")
+        if any(padded for _, padded in fields):
+            block = block[block != 0]
+        yield block.tobytes().decode("ascii")
 
 
 def _write_together(outputs):

@@ -218,8 +218,10 @@ class SweepBudgetError(ValueError):
 # Tuples an engine may build for one protocol at one go (tuples_built), grid 128 on
 # three axes.  A swept point keeps 16 bytes of rate and harvest and 5-8 of control
 # indices (44-50 MB at the bound), a band term of compare 16.  The CLI peaks at 82 MB
-# of RSS for region d --grid 128 or vl --grid 1448, and at 376 MB for rf --grid
-# 2097152: every rf point is on its frontier, and its level texts are made up front.
+# of RSS for region d --grid 128 or vl --grid 1448, and at 345 MB for rf --grid
+# 2097152, set by its sweep (306 MB traced: the rho_rf axis as Python floats, and a
+# frontier that is every point); the CSV writer's level texts, 16-byte rows formatted
+# a block at a time, add 36 MB above what the sweep keeps.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep

@@ -288,13 +288,71 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
         assert line == "d," + ",".join(format(v, ".8e") for v in values)
 
 
+def _e8_strings(values):
+    """The texts cli._e8 writes for a float64 array, NUL padding dropped."""
+    cells, _ = cli._e8(np.asarray(values, dtype=np.float64))
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
+
+
 @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                2.225073858507201e-308, 1e308, -1e308,
                                1.7976931348623157e308, float("inf"), float("-inf"),
                                float("nan"), 0.5, 1 / 3, 9.999999995e-5])
 def test_percent_e_equals_format_e(v):
-    # _csv_rows formats rate and harvest with %-templates
-    assert "%.8e" % v == format(v, ".8e")
+    # the CSV writer's "%.8e" kernel, alone and beside a value it spells out itself
+    assert _e8_strings([v]) == [format(v, ".8e")]
+    assert _e8_strings([v, 0.25]) == [format(v, ".8e"), "2.50000000e-01"]
+
+
+# Values where a vectorised "%.8e" goes wrong unless it falls back to Python.
+_E8_EDGES = [
+    123456789.5, 123456788.5, 0.5, 2.5, 1.5e-10,  # exact ties at the ninth digit
+    # decimal ties that are no binary ties: the scaled product rounds onto .5
+    4.992100795, 12316083.95, 9.538325895e-14, 8.944600425e-11, 1.019057405e30,
+    2.780869985e20,
+    999999999.5, 9.999999995, 9.9999999951, 9.9999999949, 99999999.95,  # next decade
+    *(v for k in range(-15, 32) for v in (np.nextafter(10.0 ** k, 0), 10.0 ** k,
+                                          np.nextafter(10.0 ** k, np.inf))),
+    1e99, 1e-99, 1e100, 1e-100, 9.999999995e99,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0,
+]
+
+
+def test_e8_equals_format_e_at_the_edges():
+    values = np.array(_E8_EDGES + [-v for v in _E8_EDGES])
+    assert _e8_strings(values) == [format(v, ".8e") for v in values.tolist()]
+    assert [_e8_strings([v])[0] for v in values] == [format(v, ".8e") for v in values.tolist()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(-1e31, 1e31) | st.floats(-1e-14, 1e-14)
+                | st.integers(10 ** 8, 10 ** 9).map(lambda k: (k + 0.5) / 10 ** 4),
+                min_size=1, max_size=50))
+def test_e8_equals_format_e_on_any_float(values):
+    # every finite float, subnormals and +-0.0 included, also in the kernel's range
+    assert _e8_strings(values) == [format(v, ".8e") for v in values]
+
+
+def test_csv_blocks_of_mixed_widths(monkeypatch):
+    # the first block mixes signs, a three-digit exponent and -0.0 controls, so its
+    # fields differ in width; the second block's fields do not
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    rows = [(-1.5, 2.5e-3, 0.0, -0.0), (2.5, 1e-120, -0.0, 0.5), (-0.0, 3.0, 0.5, 0.0),
+            (-7.25e8, 0.0, -0.0, -0.0),
+            (1.25, 2.5, 0.0, 0.5), (3.5e6, 4.5e-3, 0.5, 0.5), (1e-3, 7.0, 0.0, 0.0)]
+    points = [OperatingPoint(rate, harvest, ProtocolControls(a, 0.25, b, 0.75, a), ProtocolId.D)
+              for rate, harvest, a, b in rows]
+    store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
+    blocks = list(_csv_rows(store))
+    assert len(blocks) == 3
+    for block, chunk in zip(blocks[1:], (points[:4], points[4:])):
+        want = [",".join(["d", *(format(v, ".8e") for v in (*p.controls, p.rate,
+                                                            p.harvested_power))])
+                for p in chunk]
+        assert block.split("\n") == want + [""]
+    assert len({len(line) for line in blocks[1].splitlines()}) > 1
+    assert len({len(line) for line in blocks[2].splitlines()}) == 1
 
 
 def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
@@ -452,8 +510,9 @@ def test_dominates_equals_pairwise_oracle(a_points, b_points, nested):
 
 
 def test_sweep_memory_per_point(scenario):
-    # The columns take 56 bytes a point; the frontier's sort keys and order
-    # add about 30 more at the peak.  Point objects kept alive cost ~290.
+    # The columns take 21 bytes a point (16 of rate and harvest, 5 of uint8
+    # indices); with the Pareto filter's blocks the traced peak is about 45 at
+    # this grid (29 at grid 61).  Point objects kept alive cost ~290.
     sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
     tracemalloc.start()
     try:
