@@ -1,8 +1,9 @@
 """Command-line surface: region sweeps to CSV, protocol comparison, safety report.
 
 Exit codes: 0 success; 1 scenario file problem: a file that cannot be
-read or is not UTF-8, a key out of the range declared beside its default
-in scenario.py (such as a semi-angle outside the Lambertian domain), a
+read, is larger than 1 MiB (1,048,576 bytes; the read stops there) or is
+not UTF-8, a key out of the range declared beside its default in
+scenario.py (such as a semi-angle outside the Lambertian domain), a
 fading ensemble above its budget, or keys that make a link gain, the
 full-drive illuminance, the per-device NIRL power, a band's rate or
 harvest, or their sum over the bands overflow or come out inf or NaN;
@@ -30,6 +31,8 @@ from .safety import evaluate_safety
 from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
 
 _PROTOCOLS = {p.value: p for p in ProtocolId}
+# About 1,000 times scenarios/default.toml: a read stops here, not at the memory's end.
+_MAX_SCENARIO_BYTES = 1 << 20
 # A baseline is a protocol that uses a single band.
 _BASELINES = tuple(p for p in ProtocolId if sum(_TABLE[p].bands_on()) == 1)
 
@@ -266,10 +269,19 @@ def _build_parser():
     return parser
 
 
+def _read_scenario(path):
+    """A scenario file's text; OSError for a file above _MAX_SCENARIO_BYTES."""
+    with open(path, "rb") as handle:
+        data = handle.read(_MAX_SCENARIO_BYTES + 1)
+    if len(data) > _MAX_SCENARIO_BYTES:
+        raise OSError(f"the file is larger than {_MAX_SCENARIO_BYTES:,} bytes")
+    return data.decode("utf-8")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        scenario = parse_scenario(_read_scenario(args.scenario))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario file '{args.scenario}': {exc}", file=sys.stderr)
         return 1
