@@ -111,10 +111,14 @@ def _e8(values):
     return _cells(wide), True
 
 
-def _level_texts(levels):
+def _level_texts(levels, index):
     """A control's level texts as one void item each, formatted _CSV_BLOCK levels
-    at a time into one matrix, and which of them are NUL-padded (None if none is
-    shorter than the longest: the common case, which then costs no gather)."""
+    at a time into one matrix, which are NUL-padded (None if none is shorter than
+    the longest: the common case, which costs no gather), and the index into them:
+    with more levels than rows (a frontier keeps its parent's), only those used."""
+    if len(levels) > len(index):
+        used, index = np.unique(index, return_inverse=True)
+        levels = levels[used]
     rows = np.empty((len(levels), _E8_WIDTH), np.uint8)
     lengths = np.empty(len(levels), np.uint8)
     for start in range(0, len(levels), _CSV_BLOCK):
@@ -122,7 +126,7 @@ def _level_texts(levels):
         chunk[...] = _e8_texts(levels[start:start + _CSV_BLOCK])
         lengths[start:start + _CSV_BLOCK] = np.count_nonzero(chunk, axis=1)
     width = lengths.max()
-    return _cells(rows[:, :width]), (lengths < width if lengths.min() < width else None)
+    return _cells(rows[:, :width]), (lengths < width if lengths.min() < width else None), index
 
 
 def _csv_rows(store):
@@ -136,12 +140,12 @@ def _csv_rows(store):
     yield CSV_HEADER + "\n"
     if not len(store):
         return
-    levels = [_level_texts(v) for v in store.levels]
+    levels = list(map(_level_texts, store.levels, store.index))
     protocol = store.protocol.value.encode()
     for start in range(0, len(store), _CSV_BLOCK):
         part = slice(start, start + _CSV_BLOCK)
         fields = [(texts[column[part]], short is not None and short[column[part]].any())
-                  for (texts, short), column in zip(levels, store.index)]
+                  for texts, short, column in levels]
         fields += [_e8(store.rate[part]), _e8(store.harvest[part])]
         widths = [len(protocol), *(texts.itemsize for texts, _ in fields)]
         # each field and its comma or, after the last, the newline

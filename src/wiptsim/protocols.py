@@ -174,21 +174,20 @@ def controls_for(protocol, **free_values):
     return ProtocolControls(**values | free_values)
 
 
-def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, id_time_fraction):
-    """Frame-averaged (rate, harvested power) of one lightwave band."""
+def _lightwave_levels(scenario, optical_budget, gain, dc_fraction):
+    """(ID-slot rate, ID-slot harvest, all-DC harvest) of one lightwave band at a DC bias."""
     dc_rx = dc_fraction * optical_budget * gain
     ac_rx = admissible_ac_peak(optical_budget, dc_fraction) * gain
-    full_rx = optical_budget * gain
-    rate = id_time_fraction * lightwave_rate(
-        ac_rx, scenario.pd_responsivity, scenario.optical_noise_power,
-        scenario.optical_bandwidth,
-    )
-    harvested = id_time_fraction * optical_harvest(
-        dc_rx, scenario.pd_responsivity, scenario.pd_fill_factor, scenario.eh_optical
-    ) + (1.0 - id_time_fraction) * optical_harvest(
-        full_rx, scenario.pd_responsivity, scenario.pd_fill_factor, scenario.eh_optical
-    )
-    return rate, harvested
+    pd = scenario.pd_responsivity, scenario.pd_fill_factor, scenario.eh_optical
+    return (lightwave_rate(ac_rx, scenario.pd_responsivity, scenario.optical_noise_power,
+                           scenario.optical_bandwidth),
+            optical_harvest(dc_rx, *pd), optical_harvest(optical_budget * gain, *pd))
+
+
+def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, tau):
+    """Frame-averaged (rate, harvested power) of one lightwave band, ID slot for tau."""
+    rate, harvested, full = _lightwave_levels(scenario, optical_budget, gain, dc_fraction)
+    return tau * rate, tau * harvested + (1.0 - tau) * full
 
 
 def _rf_branch(scenario, tx_power, rho):
@@ -198,17 +197,12 @@ def _rf_branch(scenario, tx_power, rho):
     return rate, rf_harvest(rho * p_rx, scenario.eh_rf)
 
 
-def _finite(band, kernel, *args):
-    """A band's (rate, harvested power) = kernel(*args), rejecting overflow, inf and NaN."""
-    try:
-        term = kernel(*args)
-        if math.isfinite(term[0]) and math.isfinite(term[1]):
-            return term
-        what = f"a non-finite (rate, harvested power) = {term}"
-    except ArithmeticError as exc:
-        what = f"{type(exc).__name__} ({exc})"
-    raise ScenarioValidationError(f"the {band} band yields {what}; "
-                                  "the scenario's model constants are out of range")
+def _band_error(band, cause):
+    """evaluate's error for a band's kernel ArithmeticError or inf or NaN term."""
+    what = (f"{type(cause).__name__} ({cause})" if isinstance(cause, ArithmeticError)
+            else f"a non-finite (rate, harvested power) = {cause}")
+    return ScenarioValidationError(f"the {band} band yields {what}; "
+                                   "the scenario's model constants are out of range")
 
 
 class SweepBudgetError(ValueError):
@@ -261,12 +255,13 @@ class _Bands:
     terms added from 0.0; the RF memo maps (drive, rho_rf) to the RF term.
     A sweep therefore computes the terms once per distinct band tuple, not
     once per grid point; the lightwave memo holds only the last term (see
-    _MEMO_SIZE).  The memos are bounded and closed over the scenario, so
-    they die with this context.  The kernels are looked up in this module
-    on every miss.
+    _MEMO_SIZE).  A miss frames each band's ``levels`` over tau, a memo of
+    _lightwave_levels by (band name, drive, alpha) with one entry a band, as
+    alpha lies outside tau in grid order.  The memos are bounded and closed
+    over the scenario, so they die with it; a miss looks its kernels up here.
     """
 
-    __slots__ = ("gains", "lux", "lightwave", "rf")
+    __slots__ = ("gains", "lux", "levels", "lightwave", "rf")
 
     def __init__(self, scenario):
         vl_geometry, limits = scenario.vl_geometry(), scenario.safety
@@ -288,6 +283,10 @@ class _Bands:
             return (level, level > limits.illuminance_max,
                     (level < limits.illuminance_min) & floor_binds)
 
+        @lru_cache(maxsize=2)
+        def levels(name, drive, alpha):
+            return _lightwave_levels(scenario, drive(scenario), gains[name], alpha)
+
         @lru_cache(maxsize=1)
         def lightwave(row, *controls):
             if row.lux_gated:
@@ -296,20 +295,32 @@ class _Bands:
                     bound = (f"above {limits.illuminance_max}" if above
                              else f"below {limits.illuminance_min}")
                     return f"VL drive yields {level:.1f} lx, {bound} lx", 0.0, 0.0
-            rate = 0.0
-            harvested = 0.0
+            rate = harvested = 0.0
             for name, drive, k in row.lightwave:
-                r, e = _finite(name, _lightwave_branch, scenario, drive(scenario), gains[name],
-                               controls[k], controls[k + 1])
+                try:  # a raising kernel is not cached, so it raises at every tau
+                    r, e, full = levels(name, drive, controls[k])
+                except ArithmeticError as exc:
+                    raise _band_error(name, exc) from None
+                tau = controls[k + 1]
+                r, e = tau * r, tau * e + (1.0 - tau) * full
+                if not (math.isfinite(r) and math.isfinite(e)):
+                    raise _band_error(name, (r, e))
                 rate += r
                 harvested += e
             return None, rate, harvested
 
         @lru_cache(maxsize=_MEMO_SIZE)
         def rf(power, rho):
-            return _finite("RF", _rf_branch, scenario, power(scenario), rho)
+            try:
+                r, e = _rf_branch(scenario, power(scenario), rho)
+            except ArithmeticError as exc:
+                raise _band_error("RF", exc) from None
+            if not (math.isfinite(r) and math.isfinite(e)):
+                raise _band_error("RF", (r, e))
+            return r, e
 
-        self.gains, self.lux, self.lightwave, self.rf = gains, lux, lightwave, rf
+        self.gains, self.lux, self.levels = gains, lux, levels
+        self.lightwave, self.rf = lightwave, rf
 
 
 # The last scenario and its band context, compared by identity so the

@@ -115,9 +115,17 @@ SLOW = {
     # each file's rho_rf level texts are formatted a block at a time; the sweep sets the peak
     "region-rf-grid-2097152": Row(DEFAULT, [*REGION, "rf", "--grid", "2097152", *OUT], 0,
                                   *_wrote(2097152), 420),
-    # the largest grid compare admits: c's and d's counts take ten digits
-    "compare-grid-1448": Row(DEFAULT, [*COMPARE, "--grid", "1448"], 0,
-                             _table(10, c=3036027392, d=3036027392)),
+    # the largest grid compare admits: c's and d's counts take ten digits, and vl's and
+    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned
+    "compare-grid-1448": Row(DEFAULT, [*COMPARE, "--grid", "1448"], 0, re.escape(
+        "protocol      points    max_rate_bps    max_energy_w    dom_rf    dom_vl  dom_nirl\n"
+        "rf              1448    3.175496e+08    1.752868e-03         -         -         -\n"
+        "vl           2096704    1.384550e+09    3.761488e-04         -         -         -\n"
+        "nirl         2096704    1.823739e+09    9.594037e-03         -         -         -\n"
+        "a            2096704    2.128001e+09    1.058657e-02       yes       yes       yes\n"
+        "b            2096704    2.128100e+09    1.058657e-02       yes       yes        no\n"
+        "c         3036027392    1.688812e+09    1.058657e-02       yes       yes        no\n"
+        "d         3036027392    3.280458e+09    1.024192e-02       yes       yes       yes\n")),
 }
 
 

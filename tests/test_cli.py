@@ -375,6 +375,19 @@ def test_oversized_grid_refused_before_any_sweep(default_file, tmp_path, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
 
 
+def test_an_endless_scenario_file_is_refused_after_a_bounded_read(tmp_path):
+    # /dev/zero never ends: a read of the whole file dies under the cap, a bounded one
+    # stops one byte past _MAX_SCENARIO_BYTES
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wiptsim.cli", "safety", "/dev/zero"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        "error: cannot read scenario file '/dev/zero': the file is larger than 1,048,576 bytes\n"))
+    assert time.perf_counter() - start < 10.0
+
+
 def test_compare_budgets_the_terms_it_builds_not_a_full_sweep(default_file, capsys):
     # c and d would sweep 129**3 tuples, above the budget; compare builds
     # only their 129**2 lightwave terms and 129 RF terms

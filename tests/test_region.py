@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from wiptsim import (
     ProtocolId,
     RateEnergyRegion,
     ScenarioValidationError,
+    channel_gain,
     dominates,
     enumerate_controls,
     evaluate,
@@ -353,6 +355,32 @@ def test_csv_blocks_of_mixed_widths(monkeypatch):
         assert block.split("\n") == want + [""]
     assert len({len(line) for line in blocks[1].splitlines()}) > 1
     assert len({len(line) for line in blocks[2].splitlines()}) == 1
+
+
+def test_csv_rows_format_only_the_levels_a_small_store_uses(monkeypatch):
+    # a frontier keeps its parent's levels: five rows over a rho_rf axis three
+    # blocks long, with a wider level text that no row uses and one that a row does
+    rho = np.linspace(0.0, 1.0, 3 * cli._CSV_BLOCK + 5)
+    rho[1], rho[2] = 1e-300, -2.5e-310
+    pick = np.array([len(rho) - 1, 2, 7, 2, 0], np.uint16)
+    zeros = np.zeros(len(pick), np.uint8)
+    store = region_module._Points(ProtocolId.RF_ONLY, np.arange(5.0), np.arange(5.0)[::-1] / 3,
+                                  (np.zeros(1),) * 4 + (rho,), (zeros,) * 4 + (pick,))
+    want = [",".join(["rf", *(format(v, ".8e") for v in (0, 0, 0, 0, rho[k], k_row,
+                                                         (4 - k_row) / 3))])
+            for k_row, k in enumerate(pick)]
+    formatted = []
+
+    def e8_texts(values, _real=cli._e8_texts):
+        formatted.append(len(values))
+        return _real(values)
+
+    monkeypatch.setattr(cli, "_e8_texts", e8_texts)
+    assert "".join(_csv_rows(store)).split("\n") == [CSV_HEADER, *want, ""]
+    # one level of each pinned column, the four rho_rf levels the rows use, and
+    # whatever rate or harvest texts _e8 hands to Python
+    assert sum(formatted[:5]) == 4 + 4
+    assert sum(formatted) <= 4 + 4 + 2 * len(pick)
 
 
 def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
@@ -727,6 +755,89 @@ def test_both_engines_equal_evaluate_on_any_row(s, row_and_grid, protocol):
         patch.setitem(protocols._TABLE, protocol, row)
         _assert_sweeps_equal_cold_evaluate(s, grid, (protocol,))
         _assert_merge_equals_sweep(s, protocol, grid)
+
+
+_OUT_OF_RANGE = "; the scenario's model constants are out of range"
+
+
+def _direct_outcome(s, row, controls):
+    """evaluate's (rate, harvest) hex or its error text, from direct _lightwave_branch
+    and _rf_branch calls added in evaluate's order; no memo and no band context."""
+    gains = {name: channel_gain(geometry, s.pd_area, s.optical_filter_gain)
+             for name, geometry in (("NIRL", s.nirl_geometry()), ("VL", s.vl_geometry()))}
+    terms = [(name, protocols._lightwave_branch, (s, drive(s), gains[name], *controls[k:k + 2]))
+             for name, drive, k in row.lightwave]
+    if row.rf is not None:
+        terms.append(("RF", protocols._rf_branch, (s, row.rf(s), controls[4])))
+    rate = harvest = 0.0
+    for name, kernel, args in terms:
+        try:
+            term = kernel(*args)
+        except ArithmeticError as exc:
+            return f"the {name} band yields {type(exc).__name__} ({exc}){_OUT_OF_RANGE}"
+        if not all(map(math.isfinite, term)):
+            what = f"a non-finite (rate, harvested power) = {term}"
+            return f"the {name} band yields {what}{_OUT_OF_RANGE}"
+        rate += term[0]
+        harvest += term[1]
+    if not (math.isfinite(rate) and math.isfinite(harvest)):
+        return ("the summed band terms are non-finite: (rate, harvested power) = "
+                f"({rate}, {harvest}){_OUT_OF_RANGE}")
+    return rate.hex(), harvest.hex()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_sweep_scenarios(), _rows(), st.sampled_from(ProtocolId), st.randoms(use_true_random=False))
+# kernels that raise (a NIRL rate past the float range), a harvest that is inf,
+# and NIRL and VL rates that are finite but whose sum is not
+@example(parse_scenario("nirl_bulb_power = 1e200\n"), (_ALL_SWEPT, 3), ProtocolId.D, random.Random(0))
+@example(parse_scenario("thermal_voltage = 1e308\n"), (_ALL_SWEPT, 3), ProtocolId.D, random.Random(0))
+@example(parse_scenario("optical_bandwidth = 8e306\n"), (_ALL_SWEPT, 3), ProtocolId.D, random.Random(0))
+@example(_lux_gated(parse_scenario("")), (_ALL_SWEPT, 3), ProtocolId.C, random.Random(0))
+def test_evaluate_equals_direct_band_kernels_on_any_row(s, row_and_grid, protocol, order):
+    # evaluate's memos on one scenario object, in grid order and then in any order
+    # mixed with the other rows' tuples at grid 3 (c's VL bias 0.5 at full drive
+    # beside d's at dim drive), against the band kernels called directly per tuple
+    row, grid = row_and_grid
+    others = [(protocols._TABLE[p], p, values) for p in ProtocolId if p is not protocol
+              for values in enumerate_controls(p, 3)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(protocols._TABLE, protocol, row)
+        cases = [(row, protocol, values) for values in enumerate_controls(protocol, grid)]
+        mixed = cases + others
+        order.shuffle(mixed)
+        for case_row, case, values in (*cases, *mixed):
+            want = _direct_outcome(s, case_row, values)
+            try:
+                point = evaluate(s, case, values)
+            except InfeasibleControlsError:
+                _, above, below = protocols._Bands(s).lux(values[2], values[3])
+                assert case_row.lux_gated and (above or below)
+                continue
+            except ScenarioValidationError as exc:
+                assert str(exc) == want, (case, values)
+                continue
+            assert (point.rate.hex(), point.harvested_power.hex()) == want, (case, values)
+
+
+@pytest.mark.parametrize("protocol,grid,levels", [
+    (ProtocolId.VL_ONLY, 41, 41), (ProtocolId.NIRL_ONLY, 41, 41),
+    # 21 NIRL bias levels and d's one pinned VL level
+    (ProtocolId.D, 21, 22)])
+def test_sweep_runs_the_lightwave_kernels_once_per_bias_level(monkeypatch, scenario, protocol,
+                                                             grid, levels):
+    calls = dict.fromkeys(["lightwave_rate", "optical_harvest"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(protocols, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(protocols, name, counted)
+    s = dataclasses.replace(scenario)  # a scenario no context was built for
+    assert len(sweep(s, protocol, grid).points) == grid ** len(protocols.free_controls(protocol))
+    # each bias level harvests twice (ID slot and all-DC remainder)
+    assert calls == {"lightwave_rate": levels, "optical_harvest": 2 * levels}
+    assert protocols._last_bands[1].levels.cache_info().maxsize == 2
 
 
 @pytest.mark.filterwarnings("error")
