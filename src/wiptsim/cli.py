@@ -17,6 +17,7 @@ each sub-model's keys, then the others in file order, each check across
 keys after the keys it reads.  A file may begin with a byte-order mark."""
 
 import argparse
+import errno
 import os
 import sys
 import uuid
@@ -130,14 +131,14 @@ def _level_texts(levels, index):
 
 
 def _csv_rows(store):
-    """The CSV text of a region's column store in blocks of whole lines, header first.
+    """The CSV bytes of a region's column store in blocks of whole lines, header first.
 
     Each block of _CSV_BLOCK rows is one uint8 matrix: the protocol, the five
     control level texts gathered by the store's index columns (each level is
     formatted once), rate and harvest through _e8, the commas and the newline.
     A block whose fields differ in width is NUL-padded, then compacted.
     """
-    yield CSV_HEADER + "\n"
+    yield (CSV_HEADER + "\n").encode()
     if not len(store):
         return
     levels = list(map(_level_texts, store.levels, store.index))
@@ -159,31 +160,38 @@ def _csv_rows(store):
         block[:, at] = ord("\n")
         if any(padded for _, padded in fields):
             block = block[block != 0]
-        yield block.tobytes().decode("ascii")
+        yield block.tobytes()
 
 
 def _write_together(outputs):
-    """Write each (path, lines) pair as one set of files.
+    """Write each (path, byte chunks) pair as one set of files.
 
-    Every file is first written in full to a temporary file beside its
-    target; only then is each renamed over its target.  If writing any of
-    them fails, every temporary file and every directory this call made is
-    removed, and the old targets stay as they were.  Lines are formatted as
-    they are written, so the whole text is never built.
+    A target that is a directory is refused before anything is written: a
+    rename over it would fail after the renames before it.  Every file is
+    then written in full to a temporary file beside its target; only then is
+    each renamed over its target.  If writing any of them fails, every
+    temporary file and every directory this call made is removed, and the
+    old targets stay as they were.  A rename can still fail where no check
+    foresees it (over another user's file in a sticky directory, or over a
+    directory made since), and then the targets renamed before it are new.
+    Chunks are formatted as they are written, so the whole text is never built.
     """
+    for path, _ in outputs:
+        if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces a link
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     moves = []
     made = []  # directories this call created, deepest first
     try:
-        for path, lines in outputs:
+        for path, chunks in outputs:
             target = Path(path)
             made[:0] = [d for d in (target.parent, *target.parent.parents) if not d.exists()]
             target.parent.mkdir(parents=True, exist_ok=True)
             tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
             # open() creates the file with mode 0o666 less the umask, as a
             # direct write would; mkstemp would force 0o600.
-            with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+            with open(tmp, "xb") as handle:
                 moves.append((tmp, target))
-                handle.writelines(lines)  # streams through the file's buffer
+                handle.writelines(chunks)  # streams through the file's buffer
         for tmp, target in moves:
             os.replace(tmp, target)
     except BaseException:

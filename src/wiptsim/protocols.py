@@ -184,12 +184,6 @@ def _lightwave_levels(scenario, optical_budget, gain, dc_fraction):
             optical_harvest(dc_rx, *pd), optical_harvest(optical_budget * gain, *pd))
 
 
-def _lightwave_branch(scenario, optical_budget, gain, dc_fraction, tau):
-    """Frame-averaged (rate, harvested power) of one lightwave band, ID slot for tau."""
-    rate, harvested, full = _lightwave_levels(scenario, optical_budget, gain, dc_fraction)
-    return tau * rate, tau * harvested + (1.0 - tau) * full
-
-
 def _rf_branch(scenario, tx_power, rho):
     """(rate, harvested power) of the RF band at a total transmit power."""
     p_rx = mean_rf_received_power(scenario, tx_power / scenario.n_devices)
@@ -244,21 +238,21 @@ def tuples_built(protocol, grid_points_per_axis, merged=False):
 
 
 class _Bands:
-    """One scenario's context, shared by evaluate and compare's band terms.
+    """One scenario's context: both engines reach the band kernels through it.
 
-    It derives the constants both engines read once: each lightwave band's
-    link gain (``gains``, by band name) and, for protocol c's lux gate
-    (``lux``), the VL geometry and the full-drive illuminance.  evaluate
-    also reads its memos, one per band control tuple.  The lightwave memo
-    maps a protocol row and (alpha_nirl, tau_nirl, alpha_vl, tau_vl) to
-    (lux violation or None, rate, harvested power), the lightwave bands'
-    terms added from 0.0; the RF memo maps (drive, rho_rf) to the RF term.
-    A sweep therefore computes the terms once per distinct band tuple, not
-    once per grid point; the lightwave memo holds only the last term (see
-    _MEMO_SIZE).  A miss frames each band's ``levels`` over tau, a memo of
-    _lightwave_levels by (band name, drive, alpha) with one entry a band, as
-    alpha lies outside tau in grid order.  The memos are bounded and closed
-    over the scenario, so they die with it; a miss looks its kernels up here.
+    A lightwave band's terms depend on alpha alone, through three levels (the
+    ID-slot rate and harvest, the all-DC harvest).  ``levels`` memoises them,
+    _lightwave_levels over the link gain in ``gains``, by (band name, drive,
+    alpha) with one entry a band, as alpha lies outside tau in grid order.
+    evaluate frames a level over its tau, _band_terms over the tau axis, in
+    one operand order.  Both read protocol c's lux gate (``lux``: the VL
+    geometry and the full-drive illuminance) and the RF memo, which maps
+    (drive, rho_rf) to the RF term.  evaluate's lightwave memo maps a row and
+    (alpha_nirl, tau_nirl, alpha_vl, tau_vl) to (lux violation or None, rate,
+    harvested power), the lightwave bands' terms added from 0.0, and holds only
+    the last (see _MEMO_SIZE): a sweep computes the terms once per distinct
+    band tuple, not once per grid point.  The memos are bounded and closed over
+    the scenario, so they die with it; a miss looks its kernels up here.
     """
 
     __slots__ = ("gains", "lux", "levels", "lightwave", "rf")
@@ -405,24 +399,15 @@ def enumerate_controls(protocol, grid_points_per_axis):
     return _Grid(_axes(protocol, grid_points_per_axis))
 
 
-def _lightwave_terms(scenario, optical_budget, gain, alphas, taus):
-    """A band's (rate, harvested power) over (alpha, tau), one kernel call per
-    alpha; NaN where the kernels raised, as evaluate fails there at every tau."""
-    terms = np.full((2, len(alphas), len(taus)), math.nan)
-    for k, alpha in enumerate(alphas):
-        with suppress(ArithmeticError):
-            terms[:, k] = _lightwave_branch(scenario, optical_budget, gain, alpha, taus)
-    return terms
-
-
 @np.errstate(all="ignore")
 def _band_terms(scenario, protocol, grid_points_per_axis):
     """(feasible, lightwave, rf) of a protocol that drives the RF band: c's lux
     gate's mask over the lightwave tuples in grid order, their (rate, harvested
     power) rows, the lightwave bands added from 0.0 as evaluate adds them, and
     the rho_rf levels' rows, or None for both when every tuple is rejected.
-    Reads its own _Bands context, never evaluate's.  The first grid tuple
-    whose term or sum is inf or NaN raises evaluate's error.
+    Reads its own _Bands context, never evaluate's, and its kernels as
+    evaluate does: one ``levels`` lookup per alpha, framed over the tau axis.
+    The first grid tuple whose term or sum is inf or NaN raises evaluate's error.
     """
     tuples_built(protocol, grid_points_per_axis, merged=True)
     *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
@@ -436,9 +421,13 @@ def _band_terms(scenario, protocol, grid_points_per_axis):
     if not feasible.any():
         return feasible.ravel(), None, None
     terms = np.zeros((2, *shape))  # (rate or harvest, *lightwave tuple)
-    for name, drive, k in row.lightwave:  # alphas stay floats for the kernels
-        plane = _lightwave_terms(scenario, drive(scenario), bands.gains[name], lightwave_axes[k],
-                                 np.array(lightwave_axes[k + 1]))
+    for name, drive, k in row.lightwave:
+        alphas, taus = lightwave_axes[k], np.array(lightwave_axes[k + 1])
+        plane = np.full((2, len(alphas), len(taus)), math.nan)  # NaN where the kernels raised
+        for i, alpha in enumerate(alphas):  # alphas stay floats for the kernels
+            with suppress(ArithmeticError):
+                r, e, full = bands.levels(name, drive, alpha)
+                plane[:, i] = taus * r, taus * e + (1.0 - taus) * full
         terms += plane.reshape(2, *(n if k <= j <= k + 1 else 1 for j, n in enumerate(shape)))
     rf = np.full((len(rho_levels), 2), math.inf)  # kept where it raised, so each sum fails
     with suppress(ScenarioValidationError):

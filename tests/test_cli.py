@@ -322,10 +322,26 @@ def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monk
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_region_pair_kept_when_a_target_is_a_directory(default_file, tmp_path, monkeypatch,
+                                                       capsys):
+    # a rename over the directory would fail only after the points file's had succeeded
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("old text\n")
+    (tmp_path / "x.frontier.csv").mkdir()
+    assert main(["region", default_file, "rf", "--grid", "3", "--out", "x.csv"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write 'x.csv' and 'x.frontier.csv': "
+                            "[Errno 21] Is a directory: 'x.frontier.csv'\n")
+    assert (tmp_path / "x.csv").read_text() == "old text\n"
+    assert not list((tmp_path / "x.frontier.csv").iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_failed_write_removes_the_directories_it_made(default_file, tmp_path, monkeypatch,
                                                      capsys):
     def failing_rows(store):
-        yield CSV_HEADER + "\n"
+        yield (CSV_HEADER + "\n").encode()
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "_csv_rows", failing_rows)

@@ -268,7 +268,7 @@ def test_region_csv_golden_bytes(scenario, variant, protocol):
     if (variant, protocol) == ("lux_gated", ProtocolId.C):
         assert len(region.points) == 9261 - 5418
     digests = tuple(
-        hashlib.sha256("".join(_csv_rows(pts)).encode()).hexdigest()
+        hashlib.sha256(b"".join(_csv_rows(pts))).hexdigest()
         for pts in (region.points, region.frontier)
     )
     assert digests == _GOLDEN[variant, protocol.value]
@@ -281,7 +281,8 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
                 ProtocolControls(0.0, -0.0, 0.5, 0.5, 0.0)]
     points = [OperatingPoint(1.0 + i, -0.0 if i else 0.0, c, ProtocolId.D)
               for i, c in enumerate(controls)]
-    lines = "".join(_csv_rows(RateEnergyRegion(points, (), ProtocolId.D, 2).points)).split("\n")
+    lines = b"".join(_csv_rows(RateEnergyRegion(points, (), ProtocolId.D, 2).points)).decode()
+    lines = lines.split("\n")
     assert len(lines) == 5 and lines[-1] == ""
     for line, p in zip(lines[1:], points):
         c = p.controls
@@ -346,7 +347,7 @@ def test_csv_blocks_of_mixed_widths(monkeypatch):
     points = [OperatingPoint(rate, harvest, ProtocolControls(a, 0.25, b, 0.75, a), ProtocolId.D)
               for rate, harvest, a, b in rows]
     store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
-    blocks = list(_csv_rows(store))
+    blocks = [block.decode() for block in _csv_rows(store)]
     assert len(blocks) == 3
     for block, chunk in zip(blocks[1:], (points[:4], points[4:])):
         want = [",".join(["d", *(format(v, ".8e") for v in (*p.controls, p.rate,
@@ -376,7 +377,7 @@ def test_csv_rows_format_only_the_levels_a_small_store_uses(monkeypatch):
         return _real(values)
 
     monkeypatch.setattr(cli, "_e8_texts", e8_texts)
-    assert "".join(_csv_rows(store)).split("\n") == [CSV_HEADER, *want, ""]
+    assert b"".join(_csv_rows(store)).decode().split("\n") == [CSV_HEADER, *want, ""]
     # one level of each pinned column, the four rho_rf levels the rows use, and
     # whatever rate or harvest texts _e8 hands to Python
     assert sum(formatted[:5]) == 4 + 4
@@ -387,10 +388,10 @@ def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
     points = sweep(scenario, ProtocolId.C, 4).points
     blocks = list(_csv_rows(points))
-    assert all(block.endswith("\n") for block in blocks)
-    assert [block.count("\n") for block in blocks] == [1] + [7] * 9 + [1]  # 64 rows
+    assert all(block.endswith(b"\n") for block in blocks)
+    assert [block.count(b"\n") for block in blocks] == [1] + [7] * 9 + [1]  # 64 rows
     monkeypatch.undo()
-    assert "".join(blocks) == "".join(_csv_rows(points))
+    assert b"".join(blocks) == b"".join(_csv_rows(points))
 
 
 def _hex(point):
@@ -430,7 +431,7 @@ def test_store_round_trips_bit_for_bit(points):
     lines = (",".join(["d", *(format(v, ".8e") for v in (*p.controls, p.rate,
                                                           p.harvested_power))]) + "\n"
              for p in points)
-    assert "".join(_csv_rows(store)) == CSV_HEADER + "\n" + "".join(lines)
+    assert b"".join(_csv_rows(store)).decode() == CSV_HEADER + "\n" + "".join(lines)
 
 
 # A handful of values makes ties in rate, in harvest and exact duplicates
@@ -760,12 +761,18 @@ def test_both_engines_equal_evaluate_on_any_row(s, row_and_grid, protocol):
 _OUT_OF_RANGE = "; the scenario's model constants are out of range"
 
 
+def _lightwave_frame(s, budget, gain, alpha, tau):
+    """A lightwave band's frame average: the ID slot for tau, all-DC harvest after it."""
+    rate, harvested, full = protocols._lightwave_levels(s, budget, gain, alpha)
+    return tau * rate, tau * harvested + (1.0 - tau) * full
+
+
 def _direct_outcome(s, row, controls):
-    """evaluate's (rate, harvest) hex or its error text, from direct _lightwave_branch
+    """evaluate's (rate, harvest) hex or its error text, from direct _lightwave_levels
     and _rf_branch calls added in evaluate's order; no memo and no band context."""
     gains = {name: channel_gain(geometry, s.pd_area, s.optical_filter_gain)
              for name, geometry in (("NIRL", s.nirl_geometry()), ("VL", s.vl_geometry()))}
-    terms = [(name, protocols._lightwave_branch, (s, drive(s), gains[name], *controls[k:k + 2]))
+    terms = [(name, _lightwave_frame, (s, drive(s), gains[name], *controls[k:k + 2]))
              for name, drive, k in row.lightwave]
     if row.rf is not None:
         terms.append(("RF", protocols._rf_branch, (s, row.rf(s), controls[4])))
@@ -918,11 +925,11 @@ def test_band_terms_call_the_lightwave_kernels_once_per_alpha(monkeypatch, scena
             return _kernel(*args)
         monkeypatch.setattr(protocols, name, counted)
     protocols._band_terms(scenario, protocol, 41)
-    # one level of the pinned band's alpha, 41 of the swept one's; each
-    # _lightwave_branch harvests twice (ID slot and all-DC remainder)
-    assert calls["lightwave_rate"] <= 2 * 41 + 2
-    assert calls["optical_harvest"] <= 2 * 41 + 2
-    assert calls["illuminance_at"] <= 2  # full drive, and c's levels as one array
+    # one level of the pinned band's alpha, 41 of the swept one's; each level
+    # harvests twice (ID slot and all-DC remainder)
+    assert calls == {"lightwave_rate": 42, "optical_harvest": 84,
+                     # full drive, and c's levels as one array
+                     "illuminance_at": 2 if protocol is ProtocolId.C else 1}
 
 
 def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_scenario):
