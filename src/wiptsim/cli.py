@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .region import DegenerateRegionError, _band_merge, dominates, max_energy, max_rate, sweep
-from .protocols import _TABLE, ProtocolId, SweepBudgetError, tuples_built
+from .protocols import _CONTROL_NAMES, _TABLE, ProtocolId, SweepBudgetError, tuples_built
 from .safety import evaluate_safety
 from .scenario import ScenarioError, ScenarioValidationError, parse_scenario
 
@@ -35,9 +35,10 @@ _PROTOCOLS = {p.value: p for p in ProtocolId}
 # About 1,000 times scenarios/default.toml: a read stops here, not at the memory's end.
 _MAX_SCENARIO_BYTES = 1 << 20
 # A baseline is a protocol that uses a single band.
-_BASELINES = tuple(p for p in ProtocolId if sum(_TABLE[p].bands_on()) == 1)
+_BASELINES = tuple(p for p in ProtocolId
+                   if len(_TABLE[p].lightwave) + (_TABLE[p].rf is not None) == 1)
 
-CSV_HEADER = "protocol,alpha_nirl,tau_nirl,alpha_vl,tau_vl,rho_rf,rate_bps,harvested_w"
+CSV_HEADER = ",".join(("protocol", *_CONTROL_NAMES, "rate_bps", "harvested_w"))
 
 
 _CSV_BLOCK = 4096  # rows per block: amortises the numpy calls, bounds the block's bytes
@@ -65,45 +66,39 @@ def _e8(values):
     """The "%.8e" texts of a float64 array as one void item each, and whether
     any is NUL-padded (shorter than the widest).
 
-    With e = floor(log10|v|), s = |v| * 10**(8 - e) is one correctly rounded
+    With e = floor(log10 v), s = v * 10**(8 - e) is one correctly rounded
     product or quotient by an exact power of ten while |8 - e| <= 22, so below
     1e9 it is within 2**-24 of the exact scaled value.  Where s lies in
     [1e8 + 1e-6, 1e9 - 1) and its fraction is more than 1e-6 from one half, the
     exact value has the same decade and rounds to the same nine digits, rint(s),
     as Python's correctly rounded "%.8e" (Gay, 1990).  A wrong e fails the decade
-    check.  +-0.0 is spelled out from s = 0; every other value (a tie, a decade
-    edge, e outside [-14, 30], a subnormal) is formatted by Python.
+    check.  +0.0 is spelled out from s = 0; a set sign bit goes to Python, as does
+    every other value (a tie, a decade edge, e outside [-14, 30], a subnormal).
     """
-    a = np.abs(values)
-    with np.errstate(all="ignore"):  # 0.0, inf, nan, and 1e8 * |v| past 1e308
-        p = 8 - np.floor(np.log10(a))
-        # 0.0, inf, nan and every other |8 - e| > 22 get p = 8, e = 0: all but 0.0
+    with np.errstate(all="ignore"):  # 0.0, inf, nan, v < 0, and 1e8 * v past 1e308
+        p = 8 - np.floor(np.log10(values))
+        # 0.0, inf, nan, v < 0 and every other |8 - e| > 22 get p = 8, e = 0: all
         # fail the decade check, which only a value with p = 8 itself passes
         p = np.where(np.abs(p) <= 22, p, 8).astype(np.intp)
-        s = a * _POW10[np.maximum(p, 0)]
-        np.divide(a, _POW10[np.maximum(-p, 0)], out=s, where=p < 0)
+        s = values * _POW10[np.maximum(p, 0)]
+        np.divide(values, _POW10[np.maximum(-p, 0)], out=s, where=p < 0)
         kept = (s >= 1e8 + 1e-6) & (s < 1e9 - 1) & (np.abs(s - np.floor(s) - 0.5) > 1e-6)
-        kept |= a == 0
+    kept |= values.view(np.uint64) == 0  # +0.0, the one float whose bits are all zero
     head, tail = np.divmod(np.where(kept, np.rint(s), 1e8).astype(np.int64), 1_000_000)
     mid, low = np.divmod(tail, 1000)
     e = 8 - p  # in [-14, 30]
-    negative = np.signbit(values)
-    signed = bool(negative.any())
-    rows = np.zeros((len(values), 14 + signed), np.uint8)
-    if signed:
-        rows[negative, 0] = ord("-")
-    body = rows[:, signed:]  # d.dddddddde+dd
-    body[:, 0] = head // 100 + ord("0")
-    body[:, 1] = ord(".")
-    _cells(body[:, 2:4])[:] = _DIGITS2[head % 100]
-    _cells(body[:, 4:7])[:] = _DIGITS3[mid]
-    _cells(body[:, 7:10])[:] = _DIGITS3[low]
-    body[:, 10] = ord("e")
-    body[:, 11] = np.where(e < 0, ord("-"), ord("+"))
-    _cells(body[:, 12:])[:] = _DIGITS2[np.abs(e)]
+    rows = np.zeros((len(values), 14), np.uint8)  # d.dddddddde+dd
+    rows[:, 0] = head // 100 + ord("0")
+    rows[:, 1] = ord(".")
+    _cells(rows[:, 2:4])[:] = _DIGITS2[head % 100]
+    _cells(rows[:, 4:7])[:] = _DIGITS3[mid]
+    _cells(rows[:, 7:10])[:] = _DIGITS3[low]
+    rows[:, 10] = ord("e")
+    rows[:, 11] = np.where(e < 0, ord("-"), ord("+"))
+    _cells(rows[:, 12:])[:] = _DIGITS2[np.abs(e)]
     other = np.flatnonzero(~kept)
     if not len(other):
-        return _cells(rows), signed
+        return _cells(rows), False
     texts = _e8_texts(values[other])
     width = max(rows.shape[1], int(np.count_nonzero(texts, axis=1).max()))
     wide = np.zeros((len(values), width), np.uint8)

@@ -107,7 +107,8 @@ class _Protocol:
 
     ``controls`` lists the five controls in field order, each at its pinned
     value or _SWEPT, in any pattern.  ``free`` names the swept ones and
-    ``pins`` holds the (index, value) of the others, both in field order.
+    ``pins`` holds the (index, value) of the others, both in field order; a
+    pin outside [0, 1] is ProtocolControls' ValueError, raised here.
     ``nirl``, ``vl`` and ``rf`` map a scenario to the band's drive: the
     NIRL and VL optical budgets per device and the RF total transmit power;
     None switches the band off.  ``lightwave`` lists the (name, drive,
@@ -120,16 +121,12 @@ class _Protocol:
         self.controls = tuple(controls)
         self.free = tuple(name for name, value in zip(_CONTROL_NAMES, controls) if value is _SWEPT)
         self.pins = tuple((k, value) for k, value in enumerate(controls) if value is not _SWEPT)
-        self.drives = (nirl, vl, rf)
+        _check_unit((_CONTROL_NAMES[k], value) for k, value in self.pins)
         self.rf = rf
         # a lightwave band's tau control follows its alpha
         bands = (("NIRL", nirl, 0), ("VL", vl, 2))
         self.lightwave = tuple(band for band in bands if band[1] is not None)
         self.lux_gated = lux_gated
-
-    def bands_on(self):
-        """On/off flags of the (NIRL, VL, RF) bands."""
-        return tuple(drive is not None for drive in self.drives)
 
 
 def _dimmed_vl_budget(scenario):
@@ -242,7 +239,7 @@ class _Bands:
 
     A lightwave band's terms depend on alpha alone, through three levels (the
     ID-slot rate and harvest, the all-DC harvest).  ``levels`` memoises them,
-    _lightwave_levels over the link gain in ``gains``, by (band name, drive,
+    _lightwave_levels over the band's link gain, by (band name, drive,
     alpha) with one entry a band, as alpha lies outside tau in grid order.
     evaluate frames a level over its tau, _band_terms over the tau axis, in
     one operand order.  Both read protocol c's lux gate (``lux``: the VL
@@ -255,7 +252,7 @@ class _Bands:
     the scenario, so they die with it; a miss looks its kernels up here.
     """
 
-    __slots__ = ("gains", "lux", "levels", "lightwave", "rf")
+    __slots__ = ("lux", "levels", "lightwave", "rf")
 
     def __init__(self, scenario):
         vl_geometry, limits = scenario.vl_geometry(), scenario.safety
@@ -313,7 +310,7 @@ class _Bands:
                 raise _band_error("RF", (r, e))
             return r, e
 
-        self.gains, self.lux, self.levels = gains, lux, levels
+        self.lux, self.levels = lux, levels
         self.lightwave, self.rf = lightwave, rf
 
 
@@ -376,20 +373,19 @@ class _Grid:
         return math.prod(map(len, self.axes))
 
     def __iter__(self):
-        # enumerate_controls checked every level, so no tuple needs __new__
+        # swept levels come from linspace(0, 1) and the row checked its pins when
+        # it was built, so every level lies in [0, 1] and no tuple needs __new__
         return map(tuple.__new__, itertools.repeat(ProtocolControls),
                    itertools.product(*self.axes))
 
 
 def _axes(protocol, grid_points_per_axis):
-    """The protocol's five control axes, each level checked against [0, 1]."""
+    """The protocol's five control axes: the grid's levels where swept, else the pin."""
     row = _TABLE[protocol]
     levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
     # A pinned axis is a one-level axis, so the product runs over the free
     # axes in the same order and yields full positional control tuples.
-    axes = [levels if value is _SWEPT else (value,) for value in row.controls]
-    _check_unit((name, value) for name, axis in zip(_CONTROL_NAMES, axes) for value in axis)
-    return axes
+    return [levels if value is _SWEPT else (value,) for value in row.controls]
 
 
 def enumerate_controls(protocol, grid_points_per_axis):

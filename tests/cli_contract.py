@@ -129,14 +129,29 @@ SLOW = {
 }
 
 
+# Seconds a row may run: well above the slowest, region rf --grid 2097152 and
+# compare --grid 1448 (about 7 s each on a 2-vCPU host).
+TIMEOUT_S = 120
+
+
 def check(row, command):
     """Run row with command, wiptsim's argv: raise AssertionError at the first field that
-    differs from the row, else return the run's seconds and the child's peak RSS in MB."""
+    differs from the row, or when the run outlasts TIMEOUT_S (the child is killed and
+    reaped), else return the run's seconds and the child's peak RSS in MB."""
     with TemporaryDirectory() as work, TemporaryFile() as out, TemporaryFile() as err:
         Path(work, "s.toml").write_bytes(row.scenario)
         start = time.perf_counter()
         proc = subprocess.Popen([*command, *row.argv], cwd=work, stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)  # Popen's own wait would drop the rusage
+        delay = 0.0005  # poll as Popen.wait does: its own reaping would drop the rusage
+        while not (reaped := os.wait4(proc.pid, os.WNOHANG))[0]:
+            if time.perf_counter() - start > TIMEOUT_S:
+                proc.kill()
+                _, status, _ = os.wait4(proc.pid, 0)
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                raise AssertionError(f"the run did not end within {TIMEOUT_S} s")
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
+        _, status, usage = reaped
         seconds, proc.returncode = time.perf_counter() - start, os.waitstatus_to_exitcode(status)
         files = sorted(os.listdir(work))
         out.seek(0)

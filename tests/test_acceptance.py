@@ -28,6 +28,7 @@ from wiptsim import (
 )
 from wiptsim.channel_rf import _mean_mrt_norm_sq, mean_rf_received_power
 from wiptsim.cli import main
+from helpers import brute_frontier_indices
 
 BASELINES = (ProtocolId.RF_ONLY, ProtocolId.VL_ONLY, ProtocolId.NIRL_ONLY)
 COMBINED = (ProtocolId.A, ProtocolId.B, ProtocolId.C, ProtocolId.D)
@@ -118,23 +119,6 @@ def test_ac5_model_anchors(scn):
     _report("AC-5 model anchors", ok, "; ".join(name for name, flag in checks if not flag))
 
 
-def _brute_frontier_indices(rates, energies):
-    dominated = np.zeros(len(rates), dtype=bool)
-    for i in range(len(rates)):
-        better_or_equal = (rates >= rates[i]) & (energies >= energies[i])
-        strictly = (rates > rates[i]) | (energies > energies[i])
-        dominated[i] = np.any(better_or_equal & strictly)
-    kept = []
-    seen = set()
-    for i in np.flatnonzero(~dominated):
-        key = (rates[i], energies[i])
-        if key not in seen:
-            seen.add(key)
-            kept.append(int(i))
-    kept.sort(key=lambda i: rates[i])
-    return kept
-
-
 def test_ac6_pareto_matches_brute_force():
     controls = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
     rng = np.random.default_rng(20250810)
@@ -147,7 +131,7 @@ def test_ac6_pareto_matches_brute_force():
             coords = rng.random((n, 2))
         points = [OperatingPoint(r, e, controls, ProtocolId.RF_ONLY) for r, e in coords]
         fast = pareto(points)
-        slow = [points[i] for i in _brute_frontier_indices(coords[:, 0], coords[:, 1])]
+        slow = [points[i] for i in brute_frontier_indices(coords[:, 0], coords[:, 1])]
         if len(fast) != len(slow) or any(a is not b for a, b in zip(fast, slow)):
             mismatches += 1
     _report("AC-6 pareto oracle equivalence", mismatches == 0,

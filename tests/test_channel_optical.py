@@ -161,8 +161,9 @@ def test_lambertian_order_equals_mpmath_evaluation():
 
 
 def test_order_retries_at_80_digits_when_uncertified(monkeypatch):
-    # At 17 digits the certification window (1e-7 relative) always straddles
-    # a rounding boundary, so every angle takes the 80-digit retry.
+    # At 17 or 12 digits the certification window (1e-7 or 1e-2 relative) always
+    # straddles a rounding boundary, so every angle takes the 80-digit retry, which
+    # gives the certified 40-digit order.
     digits_used = []
     real = channel_optical._decimal_order
 
@@ -171,10 +172,12 @@ def test_order_retries_at_80_digits_when_uncertified(monkeypatch):
         return real(angle, digits)
 
     monkeypatch.setattr(channel_optical, "_decimal_order", spy)
-    for angle in (1.0, 15.0, 45.0, 60.0, 73.125, 89.0):
-        digits_used.clear()
-        assert spy(angle, 17).hex() == _true_order(angle).hex(), angle
-        assert digits_used == [17, 80], angle
+    for angle in (1.0, 7.3, 15.0, 33.3, 45.0, 60.0, 71.9, 73.125, 89.0):
+        for digits in (17, 12):
+            digits_used.clear()
+            assert spy(angle, digits).hex() == _true_order(angle).hex(), (angle, digits)
+            assert digits_used == [digits, 80], (angle, digits)
+            assert spy(angle, digits) == real(angle), (angle, digits)
     assert spy(60.0, 17) == 1.0 and spy(45.0, 17) == 2.0
 
 

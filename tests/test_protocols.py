@@ -17,6 +17,7 @@ from wiptsim import (
     ProtocolId,
     ScenarioValidationError,
     SweepBudgetError,
+    channel_gain,
     controls_for,
     enumerate_controls,
     evaluate,
@@ -31,15 +32,15 @@ from wiptsim import (
 )
 from wiptsim.channel_optical import lambertian_order
 from wiptsim.channel_rf import _mean_mrt_norm_sq
-from wiptsim.protocols import (_CONTROL_NAMES, _MAX_SWEEP_TUPLES, _MEMO_SIZE, _SWEPT, _TABLE,
-                               _Bands, _Protocol)
+from wiptsim.protocols import (_CONTROL_NAMES, _MAX_SWEEP_TUPLES, _MEMO_SIZE, _NIRL, _RF_WPT,
+                               _SWEPT, _TABLE, _VL_FULL, _Protocol)
 from wiptsim.region import _band_merge
 
 
 def _link_gains(scenario):
-    """The (VL, NIRL) link gains of the scenario's band context."""
-    gains = _Bands(scenario).gains
-    return gains["VL"], gains["NIRL"]
+    """The (VL, NIRL) link gains, as the band context derives them."""
+    return tuple(channel_gain(geometry, scenario.pd_area, scenario.optical_filter_gain)
+                 for geometry in (scenario.vl_geometry(), scenario.nirl_geometry()))
 
 
 def test_free_controls_map():
@@ -101,13 +102,13 @@ def test_evaluate_refuses_controls_that_are_not_protocol_controls(scenario, cont
         evaluate(scenario, ProtocolId.A, controls)
 
 
-def test_grid_levels_are_checked_when_the_grid_is_built(monkeypatch):
-    # no grid tuple passes through ProtocolControls.__new__, so a bad level
-    # must be refused before the first one is built
-    monkeypatch.setitem(_TABLE, ProtocolId.B,
-                        _Protocol((1.5, _SWEPT, 1.0, 0.0, _SWEPT), *_TABLE[ProtocolId.B].drives))
+def test_pins_are_checked_when_the_row_is_built():
+    # no grid tuple passes through ProtocolControls.__new__, so a bad pin must
+    # be refused before any grid is built from the row
     with pytest.raises(ValueError, match=r"^alpha_nirl must lie in \[0, 1\], got 1.5$"):
-        enumerate_controls(ProtocolId.B, 3)
+        _Protocol((1.5, _SWEPT, 1.0, 0.0, _SWEPT), _NIRL, _VL_FULL, _RF_WPT)
+    with pytest.raises(ValueError, match=r"^tau_vl must lie in \[0, 1\], got nan$"):
+        _Protocol((_SWEPT, _SWEPT, 0.5, math.nan, _SWEPT), _NIRL, _VL_FULL, _RF_WPT)
     assert all(type(c) is ProtocolControls for c in enumerate_controls(ProtocolId.D, 3))
 
 
@@ -404,7 +405,9 @@ def test_readme_protocol_table_matches_code():
     for protocol in ProtocolId:
         free, bands = rows[protocol.value]
         assert free == free_controls(protocol)
-        assert bands == _TABLE[protocol].bands_on()
+        row = _TABLE[protocol]
+        names = [name for name, _, _ in row.lightwave]
+        assert bands == ("NIRL" in names, "VL" in names, row.rf is not None)
 
 
 def _bits(point):

@@ -32,6 +32,7 @@ from wiptsim import (
 from wiptsim import cli, protocols
 from wiptsim import region as region_module
 from wiptsim.cli import CSV_HEADER, _csv_rows
+from helpers import brute_frontier_indices, lux_gated
 from test_scenario import _valid_scenarios
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -42,22 +43,9 @@ def _point(rate, energy):
 
 
 def brute_force_frontier(points):
-    """O(n^2) dominance filter used as the independent oracle."""
-    rates = np.array([p.rate for p in points])
-    energies = np.array([p.harvested_power for p in points])
-    kept = []
-    seen = set()
-    for i in range(len(points)):
-        better_or_equal = (rates >= rates[i]) & (energies >= energies[i])
-        strictly_better = (rates > rates[i]) | (energies > energies[i])
-        if np.any(better_or_equal & strictly_better):
-            continue
-        key = (rates[i], energies[i])
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(i)
-    kept.sort(key=lambda i: rates[i])
+    """The points brute_frontier_indices keeps, the independent oracle."""
+    kept = brute_frontier_indices(np.array([p.rate for p in points]),
+                                  np.array([p.harvested_power for p in points]))
     return [points[i] for i in kept]
 
 
@@ -251,19 +239,10 @@ _GOLDEN = {
 }
 
 
-def _lux_gated(scenario):
-    """Illuminance range at 0.3x..0.8x of full drive: protocol c rejects tuples."""
-    full = illuminance_at(scenario.vl_bulb_power, scenario.luminous_efficacy,
-                          scenario.vl_geometry())
-    limits = dataclasses.replace(scenario.safety, illuminance_min=0.3 * full,
-                                 illuminance_max=0.8 * full)
-    return dataclasses.replace(scenario, safety=limits)
-
-
 @pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)
 @pytest.mark.parametrize("variant", ["default", "lux_gated"])
 def test_region_csv_golden_bytes(scenario, variant, protocol):
-    s = scenario if variant == "default" else _lux_gated(scenario)
+    s = scenario if variant == "default" else lux_gated(scenario)
     region = sweep(s, protocol, 21)
     if (variant, protocol) == ("lux_gated", ProtocolId.C):
         assert len(region.points) == 9261 - 5418
@@ -748,7 +727,7 @@ _ALL_SWEPT = protocols._Protocol((protocols._SWEPT,) * 5, protocols._NIRL, proto
 @settings(max_examples=200, deadline=None)
 @given(_sweep_scenarios(), _rows(), st.sampled_from(ProtocolId))
 @example(parse_scenario(""), (_ALL_SWEPT, 3), ProtocolId.D)
-@example(_lux_gated(parse_scenario("")), (_ALL_SWEPT, 3), ProtocolId.C)
+@example(lux_gated(parse_scenario("")), (_ALL_SWEPT, 3), ProtocolId.C)
 def test_both_engines_equal_evaluate_on_any_row(s, row_and_grid, protocol):
     # a row nobody has written yet, installed in place of one protocol's
     row, grid = row_and_grid
@@ -801,7 +780,7 @@ def _direct_outcome(s, row, controls):
 @example(parse_scenario("nirl_bulb_power = 1e200\n"), (_ALL_SWEPT, 3), ProtocolId.D, random.Random(0))
 @example(parse_scenario("thermal_voltage = 1e308\n"), (_ALL_SWEPT, 3), ProtocolId.D, random.Random(0))
 @example(parse_scenario("optical_bandwidth = 8e306\n"), (_ALL_SWEPT, 3), ProtocolId.D, random.Random(0))
-@example(_lux_gated(parse_scenario("")), (_ALL_SWEPT, 3), ProtocolId.C, random.Random(0))
+@example(lux_gated(parse_scenario("")), (_ALL_SWEPT, 3), ProtocolId.C, random.Random(0))
 def test_evaluate_equals_direct_band_kernels_on_any_row(s, row_and_grid, protocol, order):
     # evaluate's memos on one scenario object, in grid order and then in any order
     # mixed with the other rows' tuples at grid 3 (c's VL bias 0.5 at full drive
