@@ -161,8 +161,9 @@ def _csv_rows(store):
 def _write_together(outputs):
     """Write each (path, byte chunks) pair as one set of files.
 
-    A target that is a directory is refused before anything is written: a
-    rename over it would fail after the renames before it.  Every file is
+    A target that exists and is neither a regular file nor a link is refused
+    before anything is written: a rename would replace a FIFO, device or socket,
+    and over a directory it would fail after the renames before it.  Every file is
     then written in full to a temporary file beside its target; only then is
     each renamed over its target.  If writing any of them fails, every
     temporary file and every directory this call made is removed, and the
@@ -174,6 +175,8 @@ def _write_together(outputs):
     for path, _ in outputs:
         if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces a link
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if os.path.exists(path) and not (os.path.isfile(path) or os.path.islink(path)):
+            raise OSError(errno.EINVAL, "Not a regular file", str(path))
     moves = []
     made = []  # directories this call created, deepest first
     try:

@@ -1,9 +1,9 @@
-import hashlib
 import io
 import itertools
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -20,7 +20,8 @@ from wiptsim import (ProtocolControls, ProtocolId, ScenarioParseError, ScenarioV
 from wiptsim.cli import CSV_HEADER, main
 from wiptsim.protocols import _TABLE
 from wiptsim.scenario import _flat, _format_value, parse_scenario
-from cli_contract import FAST, SLOW, check
+from cli_contract import FAST, LUX_GATED, SLOW, check
+from helpers import lux_gated
 from test_region import _rows as _table_rows
 
 
@@ -31,41 +32,32 @@ def default_file(tmp_path):
     return str(path)
 
 
-def _rows(path):
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    return [line.split(",") for line in lines[1:]]
-
-
-def test_region_rf_row_count(default_file, tmp_path, capsys):
-    out = tmp_path / "rf.csv"
-    assert main(["region", default_file, "rf", "--grid", "11", "--out", str(out)]) == 0
-    rows = _rows(out)
-    assert len(rows) == 11
-    assert all(row[0] == "rf" for row in rows)
-    assert "11 points" in capsys.readouterr().out
+def _check(row, monkeypatch):
+    # each row runs in its own directory, so the path to src must be absolute
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
+    check(row, [sys.executable, "-m", "wiptsim.cli"])
 
 
 @pytest.mark.parametrize("name", FAST)
 def test_contract_row(name, monkeypatch):
-    # each row runs in its own directory, so the path to src must be absolute
-    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
-    check(FAST[name], [sys.executable, "-m", "wiptsim.cli"])
+    _check(FAST[name], monkeypatch)
 
 
 def test_contract_rows_cover_every_documented_exit_code():
     assert {row.code for row in [*FAST.values(), *SLOW.values()]} == set(range(6))
 
 
-def test_region_protocol_a_with_frontier(default_file, tmp_path):
-    out = tmp_path / "a.csv"
-    assert main(["region", default_file, "a", "--grid", "21", "--out", str(out)]) == 0
-    assert len(_rows(out)) == 441
-    frontier_rows = _rows(tmp_path / "a.frontier.csv")
-    rates = [float(row[6]) for row in frontier_rows]
-    energies = [float(row[7]) for row in frontier_rows]
-    assert rates == sorted(rates)
-    assert all(b < a for a, b in zip(energies, energies[1:]))
+def test_contract_check_names_a_changed_digest(monkeypatch):
+    row = FAST["region-d-grid-21"]
+    frontier = row.digests["o.frontier.csv"]
+    changed = frontier[:-1] + ("1" if frontier.endswith("0") else "0")
+    with pytest.raises(AssertionError) as raised:
+        _check(row._replace(digests={**row.digests, "o.frontier.csv": changed}), monkeypatch)
+    assert str(raised.value) == f"sha256 of o.frontier.csv differs from the row: '{frontier}'"
+
+
+def test_lux_gated_rows_run_the_in_process_fixture(scenario):
+    assert parse_scenario(LUX_GATED.decode()) == lux_gated(scenario)
 
 
 def test_region_invalid_scenario(tmp_path, capsys):
@@ -73,13 +65,6 @@ def test_region_invalid_scenario(tmp_path, capsys):
     path.write_text("rf_distance = -1\n")
     assert main(["region", str(path), "rf"]) == 1
     assert "rf_distance" in capsys.readouterr().err
-
-
-def test_region_default_out_name(default_file, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["region", default_file, "vl", "--grid", "3"]) == 0
-    assert (tmp_path / "region_vl.csv").exists()
-    assert (tmp_path / "region_vl.frontier.csv").exists()
 
 
 def test_region_files_honour_umask(default_file, tmp_path):
@@ -121,30 +106,6 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                         (work / "d.frontier.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count(b"\n") == 1 + 5 ** 3
-
-
-def test_compare_table(default_file, capsys):
-    assert main(["compare", default_file, "--grid", "11"]) == 0
-    out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line.strip()]
-    assert len(lines) == 8  # header plus seven regions
-    for name in ("rf", "vl", "nirl", "a", "b", "c", "d"):
-        assert any(line.startswith(name) for line in lines[1:])
-
-
-def test_compare_golden_stdout(default_file, capsys):
-    # sha256 of the whole table, fixed before the band terms were memoised
-    assert main(["compare", default_file, "--grid", "11"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "76cc0e70ec9653ae6a042e02b318b2cba334bbbadbc7929051f313a13fb32e00"
-
-
-def test_compare_golden_stdout_at_the_default_grid(capsys):
-    # sha256 of the grid-101 table as the full sweep of every protocol printed it
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "default.toml"
-    assert main(["compare", str(path), "--grid", "101"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "a21a7745a64761dd0eaf099638cf1936341c753ccea2bd0c92c2955e660ff8cc"
 
 
 @pytest.fixture
@@ -336,6 +297,30 @@ def test_region_pair_kept_when_a_target_is_a_directory(default_file, tmp_path, m
     assert (tmp_path / "x.csv").read_text() == "old text\n"
     assert not list((tmp_path / "x.frontier.csv").iterdir())
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_region_refuses_a_fifo_target(default_file, tmp_path, monkeypatch, capsys):
+    # a rename would replace the FIFO, as it would a device such as /dev/null
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("x.csv")
+    (tmp_path / "x.frontier.csv").write_text("old text\n")
+    assert main(["region", default_file, "rf", "--grid", "3", "--out", "x.csv"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write 'x.csv' and 'x.frontier.csv': "
+                            "[Errno 22] Not a regular file: 'x.csv'\n")
+    assert stat.S_ISFIFO((tmp_path / "x.csv").lstat().st_mode)
+    assert (tmp_path / "x.frontier.csv").read_text() == "old text\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_region_replaces_a_link_not_the_fifo_it_names(default_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    os.symlink("fifo", "x.csv")
+    assert main(["region", default_file, "rf", "--grid", "3", "--out", "x.csv"]) == 0
+    assert stat.S_ISREG((tmp_path / "x.csv").lstat().st_mode)
+    assert stat.S_ISFIFO((tmp_path / "fifo").lstat().st_mode)
 
 
 def test_failed_write_removes_the_directories_it_made(default_file, tmp_path, monkeypatch,
