@@ -32,6 +32,21 @@ def default_file(tmp_path):
     return str(path)
 
 
+def _rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_region_rf_row_count(default_file, tmp_path, capsys):
+    out = tmp_path / "rf.csv"
+    assert main(["region", default_file, "rf", "--grid", "11", "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert len(rows) == 11
+    assert all(row[0] == "rf" for row in rows)
+    assert "11 points" in capsys.readouterr().out
+
+
 def _check(row, monkeypatch):
     # each row runs in its own directory, so the path to src must be absolute
     monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
@@ -45,6 +60,23 @@ def test_contract_row(name, monkeypatch):
 
 def test_contract_rows_cover_every_documented_exit_code():
     assert {row.code for row in [*FAST.values(), *SLOW.values()]} == set(range(6))
+
+
+def test_region_protocol_a_with_frontier(default_file, tmp_path):
+    out = tmp_path / "a.csv"
+    assert main(["region", default_file, "a", "--grid", "21", "--out", str(out)]) == 0
+    assert len(_rows(out)) == 441
+    frontier_rows = _rows(tmp_path / "a.frontier.csv")
+    rates = [float(row[6]) for row in frontier_rows]
+    energies = [float(row[7]) for row in frontier_rows]
+    assert rates == sorted(rates)
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+def test_compare_golden_stdout_at_the_default_grid(monkeypatch):
+    # an explicit --grid 101 prints the default grid's table, byte for byte
+    row = FAST["compare-default"]
+    _check(row._replace(argv=[*row.argv, "--grid", "101"]), monkeypatch)
 
 
 def test_contract_check_names_a_changed_digest(monkeypatch):
@@ -106,6 +138,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                         (work / "d.frontier.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count(b"\n") == 1 + 5 ** 3
+
+
+def test_compare_table(default_file, capsys):
+    assert main(["compare", default_file, "--grid", "11"]) == 0
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if line.strip()]
+    assert len(lines) == 8  # header plus seven regions
+    for name in ("rf", "vl", "nirl", "a", "b", "c", "d"):
+        assert any(line.startswith(name) for line in lines[1:])
 
 
 @pytest.fixture
