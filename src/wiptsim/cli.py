@@ -9,8 +9,8 @@ full-drive illuminance, the per-device NIRL power, a band's rate or
 harvest, or their sum over the bands overflow or come out inf or NaN;
 2 unknown protocol, --grid below 2 or above the sweep budget (no
 protocol's engine may build more than 2**21 tuples at one go; see
-protocols.tuples_built), or an --out that names no file ("", "." or
-"sub/.."), each refused before any sweep; 3 degenerate region; 4 safety
+protocols.tuples_built), or an --out that names no file ("", ".", "sub/..",
+"res/" or "res/."), each refused before any sweep; 3 degenerate region; 4 safety
 verdict failed; 5 the region's CSV pair could not be written.
 Of several bad keys, the error names the first in scenario.py's order:
 each sub-model's keys, then the others in file order, each check across
@@ -312,8 +312,8 @@ def main(argv=None):
                   f"(expected one of: {', '.join(_PROTOCOLS)})", file=sys.stderr)
             return 2
         out_path = args.out if args.out is not None else f"region_{protocol.value}.csv"
-        # e.g. "", "." or "sub/.."; the frontier name derives from the file name
-        if Path(out_path).name in ("", ".."):
+        # e.g. "", ".", "sub/..", "res/" or "res/."; the frontier name derives from the file name
+        if os.path.basename(out_path) in ("", ".", ".."):
             print(f"error: --out must name a file, got '{out_path}'", file=sys.stderr)
             return 2
     # Refuse an oversized grid before any term is built or ensemble drawn.

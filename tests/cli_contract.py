@@ -28,6 +28,7 @@ Row = namedtuple("Row", "scenario argv code stdout stderr files rss_mb digests",
                  defaults=("", "", ("s.toml",), None, {}))
 
 DEFAULT = (Path(__file__).resolve().parents[1] / "scenarios" / "default.toml").read_bytes()
+HERE = f"{Path(__file__).resolve().parent}{os.sep}"  # a directory that exists, named as one
 LUX = b"illuminance_min = 15.0\nilluminance_max = 40.0\n"  # c's lux gate keeps 9 of 27 tuples
 # 0.3x and 0.8x the full-drive illuminance, the range tests/helpers.lux_gated sets
 LUX_GATED = b"illuminance_min = 14.99711063995017\nilluminance_max = 39.99229503986712\n"
@@ -136,6 +137,13 @@ FAST = {
         "error: unknown protocol 'x' (expected one of: rf, vl, nirl, a, b, c, d)")),
     "region-out-empty": Row(DEFAULT, [*REGION, "rf", "--out", ""], 2, "",
                             _line("error: --out must name a file, got ''")),
+    # a name that ends in a separator, or in "/.", names a directory, new or existing
+    "region-out-new-directory": Row(DEFAULT, [*REGION, "rf", "--out", "o/"], 2, "",
+                                    _line("error: --out must name a file, got 'o/'")),
+    "region-out-directory-dot": Row(DEFAULT, [*REGION, "rf", "--out", "o/."], 2, "",
+                                    _line("error: --out must name a file, got 'o/.'")),
+    "region-out-existing-directory": Row(DEFAULT, [*REGION, "rf", "--out", HERE], 2, "",
+                                         _line(f"error: --out must name a file, got '{HERE}'")),
     "region-out-under-a-file": Row(DEFAULT, [*REGION, "rf", "--out", "s.toml/x.csv"], 5, "", _line(
         "error: cannot write 's.toml/x.csv' and 's.toml/x.frontier.csv': [Errno 17] File exists: 's.toml'")),
     "region-missing-file": Row(DEFAULT, ["region", "nope.toml", "rf"], 1, "", _line(
@@ -167,7 +175,7 @@ SLOW = {
     "compare-grid-1001": Row(DEFAULT, [*COMPARE, "--grid", "1001"], 0, _table(10), digests={
         "stdout": "fabdc0bb745d1637b21b4efe991062ee043a38dc8e8ff8de0d1fcc9d558da288"}),
     # the largest grid compare admits: c's and d's counts take ten digits, and vl's and
-    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned
+    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (170-198 MB peak)
     "compare-grid-1448": Row(DEFAULT, [*COMPARE, "--grid", "1448"], 0, re.escape(
         "protocol      points    max_rate_bps    max_energy_w    dom_rf    dom_vl  dom_nirl\n"
         "rf              1448    3.175496e+08    1.752868e-03         -         -         -\n"
@@ -176,7 +184,8 @@ SLOW = {
         "a            2096704    2.128001e+09    1.058657e-02       yes       yes       yes\n"
         "b            2096704    2.128100e+09    1.058657e-02       yes       yes        no\n"
         "c         3036027392    1.688812e+09    1.058657e-02       yes       yes        no\n"
-        "d         3036027392    3.280458e+09    1.024192e-02       yes       yes       yes\n")),
+        "d         3036027392    3.280458e+09    1.024192e-02       yes       yes       yes\n"),
+        rss_mb=240),
 }
 
 

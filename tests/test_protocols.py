@@ -17,7 +17,6 @@ from wiptsim import (
     ProtocolId,
     ScenarioValidationError,
     SweepBudgetError,
-    channel_gain,
     controls_for,
     enumerate_controls,
     evaluate,
@@ -35,12 +34,7 @@ from wiptsim.channel_rf import _mean_mrt_norm_sq
 from wiptsim.protocols import (_CONTROL_NAMES, _MAX_SWEEP_TUPLES, _MEMO_SIZE, _NIRL, _RF_WPT,
                                _SWEPT, _TABLE, _VL_FULL, _Protocol)
 from wiptsim.region import _band_merge
-
-
-def _link_gains(scenario):
-    """The (VL, NIRL) link gains, as the band context derives them."""
-    return tuple(channel_gain(geometry, scenario.pd_area, scenario.optical_filter_gain)
-                 for geometry in (scenario.vl_geometry(), scenario.nirl_geometry()))
+from helpers import assert_sweeps_equal_cold_evaluate, bits, cold_outcome, link_gains
 
 
 def test_free_controls_map():
@@ -140,7 +134,7 @@ def test_controls_for_refuses_an_unknown_control_as_protocol_controls_does():
 def test_all_energy_corner(scenario):
     point = evaluate(scenario, ProtocolId.A, controls_for(ProtocolId.A, alpha_nirl=1.0, rho_rf=1.0))
     assert point.rate == 0.0
-    h_vl, h_nirl = _link_gains(scenario)
+    h_vl, h_nirl = link_gains(scenario)
     p_rx = mean_rf_received_power(scenario, scenario.rf_wpt_tx_power / scenario.n_devices)
     expected = (
         optical_harvest(22.0 * h_nirl, 0.4, 0.75, scenario.eh_optical)
@@ -153,7 +147,7 @@ def test_all_energy_corner(scenario):
 
 def test_protocol_a_composition(scenario):
     point = evaluate(scenario, ProtocolId.A, controls_for(ProtocolId.A, alpha_nirl=0.5, rho_rf=0.0))
-    h_vl, h_nirl = _link_gains(scenario)
+    h_vl, h_nirl = link_gains(scenario)
     p_rx = mean_rf_received_power(scenario, scenario.rf_wpt_tx_power / scenario.n_devices)
     expected_rate = lightwave_rate(0.5 * 22.0 * h_nirl, 0.4, 1e-15, 1e8) + rf_rate(
         p_rx, 1.0, 1e-12, 1e7
@@ -208,7 +202,7 @@ def test_vl_only_has_no_rf_contribution(scenario):
     point = evaluate(
         scenario, ProtocolId.VL_ONLY, controls_for(ProtocolId.VL_ONLY, alpha_vl=1.0, tau_vl=0.0)
     )
-    h_vl, _ = _link_gains(scenario)
+    h_vl, _ = link_gains(scenario)
     expected = optical_harvest(22.0 * h_vl, 0.4, 0.75, scenario.eh_optical)
     assert point.rate == 0.0
     assert point.harvested_power == pytest.approx(expected, rel=1e-12)
@@ -218,7 +212,7 @@ def test_nirl_only_combined_frame(scenario):
     point = evaluate(
         scenario, ProtocolId.NIRL_ONLY, controls_for(ProtocolId.NIRL_ONLY, alpha_nirl=0.8, tau_nirl=0.6)
     )
-    _, h_nirl = _link_gains(scenario)
+    _, h_nirl = link_gains(scenario)
     expected_rate = 0.6 * lightwave_rate(0.2 * 22.0 * h_nirl, 0.4, 1e-15, 1e8)
     expected_harvest = 0.6 * optical_harvest(
         0.8 * 22.0 * h_nirl, 0.4, 0.75, scenario.eh_optical
@@ -231,7 +225,7 @@ def test_protocol_c_pins_nirl_all_dc(scenario):
     point = evaluate(
         scenario, ProtocolId.C, controls_for(ProtocolId.C, alpha_vl=0.5, tau_vl=1.0, rho_rf=1.0)
     )
-    h_vl, h_nirl = _link_gains(scenario)
+    h_vl, h_nirl = link_gains(scenario)
     vl_rate = lightwave_rate(0.5 * 22.0 * h_vl, 0.4, 1e-15, 1e8)
     assert point.rate == pytest.approx(vl_rate, rel=1e-12)  # RF fully harvesting, NIRL silent
     nirl_harvest = optical_harvest(22.0 * h_nirl, 0.4, 0.75, scenario.eh_optical)
@@ -298,7 +292,7 @@ def test_protocol_d_dim_drive(scenario):
     point = evaluate(
         scenario, ProtocolId.D, controls_for(ProtocolId.D, alpha_nirl=1.0, tau_nirl=0.0, rho_rf=0.0)
     )
-    h_vl, h_nirl = _link_gains(scenario)
+    h_vl, h_nirl = link_gains(scenario)
     dim_rx = scenario.vl_dim_fraction * 22.0 * h_vl
     expected_rate = lightwave_rate(dim_rx, 0.4, 1e-15, 1e8) + rf_rate(
         mean_rf_received_power(scenario, scenario.rf_wpt_tx_power / 3), 1.0, 1e-12, 1e7
@@ -410,44 +404,24 @@ def test_readme_protocol_table_matches_code():
         assert bands == ("NIRL" in names, "VL" in names, row.rf is not None)
 
 
-def _bits(point):
-    return point.rate.hex(), point.harvested_power.hex()
-
-
-def _cold(scenario, protocol, controls):
-    """evaluate on an equal but new scenario object, so no memoised term is reused."""
-    try:
-        return _bits(evaluate(dataclasses.replace(scenario), protocol, controls))
-    except InfeasibleControlsError:
-        return None
-
-
 @pytest.mark.parametrize("variant", ["scenario", "lux_gated_scenario"])
 def test_sweep_bit_equal_to_cold_evaluate(request, variant):
     # All seven sweeps share one scenario object, so later protocols read
     # band terms the earlier ones memoised (d's dimmed VL beside the full VL
     # of a-c, rf's full RF power beside the WPT power of a-d).
-    # Every sweep runs before the first cold evaluate, whose new scenario
-    # object would replace the shared band context.
-    s = request.getfixturevalue(variant)
-    swept = {protocol: {p.controls: _bits(p) for p in sweep(s, protocol, 21).points}
-             for protocol in ProtocolId}
-    for protocol in ProtocolId:
-        for controls in enumerate_controls(protocol, 21):
-            assert swept[protocol].get(controls) == _cold(s, protocol, controls), (protocol,
-                                                                                   controls)
+    assert_sweeps_equal_cold_evaluate(request.getfixturevalue(variant), 21)
 
 
 @pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)
 def test_negative_zero_controls_match_zero(scenario, protocol):
     zero = controls_for(protocol, **dict.fromkeys(free_controls(protocol), 0.0))
     negative = controls_for(protocol, **dict.fromkeys(free_controls(protocol), -0.0))
-    expected = _cold(scenario, protocol, zero)
+    expected = cold_outcome(scenario, protocol, zero)
     # either sign may be the one that fills the memo
     for first, second in ((zero, negative), (negative, zero)):
         fresh = dataclasses.replace(scenario)
-        assert _bits(evaluate(fresh, protocol, first)) == expected
-        assert _bits(evaluate(fresh, protocol, second)) == expected
+        assert bits(evaluate(fresh, protocol, first)) == expected
+        assert bits(evaluate(fresh, protocol, second)) == expected
 
 
 def test_interleaved_scenarios_keep_their_own_terms(scenario, lux_gated_scenario):
@@ -456,13 +430,13 @@ def test_interleaved_scenarios_keep_their_own_terms(scenario, lux_gated_scenario
     )
     cases = [(protocol, controls) for protocol in ProtocolId
              for controls in enumerate_controls(protocol, 3)]
-    expected = {s: [_cold(s, p, c) for p, c in cases] for s in (scenario, other)}
+    expected = {s: [cold_outcome(s, p, c) for p, c in cases] for s in (scenario, other)}
     assert expected[scenario] != expected[other]
     for _ in range(2):
         for i, (protocol, controls) in enumerate(cases):
             for s in (scenario, other):
                 try:
-                    got = _bits(evaluate(s, protocol, controls))
+                    got = bits(evaluate(s, protocol, controls))
                 except InfeasibleControlsError:
                     got = None
                 assert got == expected[s][i]

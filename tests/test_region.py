@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import random
 import tracemalloc
 
@@ -17,7 +16,6 @@ from wiptsim import (
     ProtocolId,
     RateEnergyRegion,
     ScenarioValidationError,
-    channel_gain,
     dominates,
     enumerate_controls,
     evaluate,
@@ -31,8 +29,8 @@ from wiptsim import (
 from wiptsim import cli, protocols
 from wiptsim import region as region_module
 from wiptsim.cli import CSV_HEADER, _csv_rows
-from helpers import brute_frontier_indices, lux_gated
-from test_scenario import _valid_scenarios
+from helpers import (assert_sweeps_equal_cold_evaluate, bits, brute_frontier_indices, counted,
+                     direct_outcome, direct_terms, lux_gated, lux_rejects, valid_scenarios)
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -530,44 +528,10 @@ def test_rejecting_sweep_keeps_positions_in_a_typed_array(lux_gated_scenario):
     assert peak / 41 ** 3 < 35
 
 
-def _cold_outcome(scenario, protocol, controls):
-    """A cold evaluate's (rate, harvest) hex, None when infeasible, or its error text."""
-    try:
-        point = evaluate(dataclasses.replace(scenario), protocol, controls)
-    except InfeasibleControlsError:
-        return None
-    except ScenarioValidationError as exc:
-        return str(exc)
-    return point.rate.hex(), point.harvested_power.hex()
-
-
-def _assert_sweeps_equal_cold_evaluate(s, grid, ids=tuple(ProtocolId)):
-    grids = {protocol: list(enumerate_controls(protocol, grid)) for protocol in ids}
-    cold = {protocol: [_cold_outcome(s, protocol, c) for c in controls]
-            for protocol, controls in grids.items()}
-    # The sweeps run back to back on one scenario object, so later
-    # protocols read band terms the earlier ones memoised.
-    for protocol, controls in grids.items():
-        errors = [o for o in cold[protocol] if isinstance(o, str)]
-        if errors:  # the sweep stops at the first tuple that raises
-            with pytest.raises(ScenarioValidationError) as info:
-                sweep(s, protocol, grid)
-            assert str(info.value) == errors[0]
-            continue
-        # protocol c's rejected tuples are absent, every other tuple in order
-        want = [(*o, *(v.hex() for v in c)) for c, o in zip(controls, cold[protocol]) if o]
-        if not want:
-            with pytest.raises(DegenerateRegionError):
-                sweep(s, protocol, grid)
-            continue
-        got = [tuple(v.hex() for v in row) for row in sweep(s, protocol, grid).points.rows()]
-        assert got == want, protocol
-
-
 @st.composite
 def _sweep_scenarios(draw):
     """A scenario of the round-trip strategy, small fading ensemble, maybe lux-gated."""
-    s = dataclasses.replace(draw(_valid_scenarios()), mc_samples=draw(st.integers(1, 200)))
+    s = dataclasses.replace(draw(valid_scenarios()), mc_samples=draw(st.integers(1, 200)))
     if draw(st.booleans()):
         full = illuminance_at(s.vl_bulb_power, s.luminous_efficacy, s.vl_geometry())
         low, high = sorted(draw(st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2,
@@ -581,14 +545,14 @@ def _sweep_scenarios(draw):
 @settings(max_examples=40, deadline=None)
 @given(_sweep_scenarios(), st.integers(3, 5))
 def test_sweeps_of_random_scenarios_equal_cold_evaluate(s, grid):
-    _assert_sweeps_equal_cold_evaluate(s, grid)
+    assert_sweeps_equal_cold_evaluate(s, grid)
 
 
 def test_sweep_equals_cold_evaluate_when_memos_evict(monkeypatch, lux_gated_scenario):
     # three entries for five rho_rf levels: the RF memo evicts on every lookup
     monkeypatch.setattr(protocols, "_MEMO_SIZE", 3)
     s = dataclasses.replace(lux_gated_scenario)
-    _assert_sweeps_equal_cold_evaluate(s, 5)
+    assert_sweeps_equal_cold_evaluate(s, 5)
     last, bands = protocols._last_bands
     assert last is s
     rf = bands.rf.cache_info()
@@ -697,43 +661,8 @@ def test_both_engines_equal_evaluate_on_any_row(s, row_and_grid, protocol):
     row, grid = row_and_grid
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(protocols._TABLE, protocol, row)
-        _assert_sweeps_equal_cold_evaluate(s, grid, (protocol,))
+        assert_sweeps_equal_cold_evaluate(s, grid, (protocol,))
         _assert_merge_equals_sweep(s, protocol, grid)
-
-
-_OUT_OF_RANGE = "; the scenario's model constants are out of range"
-
-
-def _lightwave_frame(s, budget, gain, alpha, tau):
-    """A lightwave band's frame average: the ID slot for tau, all-DC harvest after it."""
-    rate, harvested, full = protocols._lightwave_levels(s, budget, gain, alpha)
-    return tau * rate, tau * harvested + (1.0 - tau) * full
-
-
-def _direct_outcome(s, row, controls):
-    """evaluate's (rate, harvest) hex or its error text, from direct _lightwave_levels
-    and _rf_branch calls added in evaluate's order; no memo and no band context."""
-    gains = {name: channel_gain(geometry, s.pd_area, s.optical_filter_gain)
-             for name, geometry in (("NIRL", s.nirl_geometry()), ("VL", s.vl_geometry()))}
-    terms = [(name, _lightwave_frame, (s, drive(s), gains[name], *controls[k:k + 2]))
-             for name, drive, k in row.lightwave]
-    if row.rf is not None:
-        terms.append(("RF", protocols._rf_branch, (s, row.rf(s), controls[4])))
-    rate = harvest = 0.0
-    for name, kernel, args in terms:
-        try:
-            term = kernel(*args)
-        except ArithmeticError as exc:
-            return f"the {name} band yields {type(exc).__name__} ({exc}){_OUT_OF_RANGE}"
-        if not all(map(math.isfinite, term)):
-            what = f"a non-finite (rate, harvested power) = {term}"
-            return f"the {name} band yields {what}{_OUT_OF_RANGE}"
-        rate += term[0]
-        harvest += term[1]
-    if not (math.isfinite(rate) and math.isfinite(harvest)):
-        return ("the summed band terms are non-finite: (rate, harvested power) = "
-                f"({rate}, {harvest}){_OUT_OF_RANGE}")
-    return rate.hex(), harvest.hex()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -758,17 +687,16 @@ def test_evaluate_equals_direct_band_kernels_on_any_row(s, row_and_grid, protoco
         mixed = cases + others
         order.shuffle(mixed)
         for case_row, case, values in (*cases, *mixed):
-            want = _direct_outcome(s, case_row, values)
+            want = direct_outcome(s, case_row, values)
             try:
                 point = evaluate(s, case, values)
             except InfeasibleControlsError:
-                _, above, below = protocols._Bands(s).lux(values[2], values[3])
-                assert case_row.lux_gated and (above or below)
+                assert want is None, (case, values)
                 continue
             except ScenarioValidationError as exc:
                 assert str(exc) == want, (case, values)
                 continue
-            assert (point.rate.hex(), point.harvested_power.hex()) == want, (case, values)
+            assert bits(point) == want, (case, values)
 
 
 @pytest.mark.parametrize("protocol,grid,levels", [
@@ -777,12 +705,7 @@ def test_evaluate_equals_direct_band_kernels_on_any_row(s, row_and_grid, protoco
     (ProtocolId.D, 21, 22)])
 def test_sweep_runs_the_lightwave_kernels_once_per_bias_level(monkeypatch, scenario, protocol,
                                                              grid, levels):
-    calls = dict.fromkeys(["lightwave_rate", "optical_harvest"], 0)
-    for name in calls:
-        def counted(*args, _name=name, _kernel=getattr(protocols, name)):
-            calls[_name] += 1
-            return _kernel(*args)
-        monkeypatch.setattr(protocols, name, counted)
+    calls = counted(monkeypatch, protocols, "lightwave_rate", "optical_harvest")
     s = dataclasses.replace(scenario)  # a scenario no context was built for
     assert len(sweep(s, protocol, grid).points) == grid ** len(protocols.free_controls(protocol))
     # each bias level harvests twice (ID slot and all-DC remainder)
@@ -815,25 +738,6 @@ def test_band_merge_raises_the_sweeps_first_error(text, raising):
     assert [p.value for p in ProtocolId if _assert_merge_equals_sweep(s, p, 5) is None] == raising
 
 
-def _looped_band_terms(s, protocol, grid):
-    """_band_terms' outcome, from evaluate's band memos one tuple at a time."""
-    row, bands = protocols._TABLE[protocol], protocols._Bands(s)
-    *lightwave_axes, rho_levels = protocols._axes(protocol, grid)
-    try:
-        lightwave = [bands.lightwave(row, *values)
-                     for values in itertools.product(*lightwave_axes)]
-        feasible = [violation is None for violation, _, _ in lightwave]
-        if not any(feasible):
-            return feasible, None, None
-        rf = [bands.rf(row.rf, rho) for rho in rho_levels]
-    except ScenarioValidationError:
-        return None
-    terms = [(rate, harvest) for violation, rate, harvest in lightwave if violation is None]
-    if not all(map(math.isfinite, (a + b for t in terms for u in rf for a, b in zip(t, u)))):
-        return None
-    return feasible, terms, rf
-
-
 # numpy's floating-point warnings are errors; a blanket "error" filter would
 # also turn a DeprecationWarning that hypothesis raises while it reports a
 # falsifying example into a pytest INTERNALERROR that ends the session
@@ -845,28 +749,31 @@ def _looped_band_terms(s, protocol, grid):
 @example(parse_scenario("optical_filter_gain = 1e300\n"), 3)
 def test_band_terms_equal_a_per_tuple_loop(s, grid):
     for protocol in (p for p in ProtocolId if protocols._TABLE[p].rf is not None):
-        looped = _looped_band_terms(s, protocol, grid)
-        if looped is None:  # some kept tuple's term or sum is inf or NaN
-            with pytest.raises(ScenarioValidationError):
+        row, tuples = protocols._TABLE[protocol], list(enumerate_controls(protocol, grid))
+        rhos = list(dict.fromkeys(c.rho_rf for c in tuples))  # rho_rf is the fastest axis
+        lightwave = tuples[::len(rhos)]
+        feasible = [not (row.lux_gated and lux_rejects(s, c.alpha_vl, c.tau_vl)) for c in lightwave]
+        errors = [o for o in (direct_outcome(s, row, c) for c in tuples) if isinstance(o, str)]
+        if errors:  # the first grid tuple whose term or sum is inf or NaN raises
+            with pytest.raises(ScenarioValidationError) as info:
                 protocols._band_terms(s, protocol, grid)
+            assert str(info.value) == errors[0]
             continue
-        feasible, terms, rf = protocols._band_terms(s, protocol, grid)
-        assert feasible.tolist() == looped[0]
-        if looped[1] is None:
+        mask, terms, rf = protocols._band_terms(s, protocol, grid)
+        assert mask.tolist() == feasible
+        if not any(feasible):
             assert (terms, rf) == (None, None)
             continue
-        for got, want in ((terms[feasible], looped[1]), (rf, looped[2])):
+        kept = [direct_terms(s, row, c)[0] for c, ok in zip(lightwave, feasible) if ok]
+        first = lightwave[feasible.index(True)]  # its lightwave kernels do not fail
+        want_rf = [direct_terms(s, row, first._replace(rho_rf=rho))[1] for rho in rhos]
+        for got, want in ((terms[mask], kept), (rf, want_rf)):
             assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 @pytest.mark.parametrize("protocol", [ProtocolId.C, ProtocolId.D])
 def test_band_terms_call_the_lightwave_kernels_once_per_alpha(monkeypatch, scenario, protocol):
-    calls = dict.fromkeys(["lightwave_rate", "optical_harvest", "illuminance_at"], 0)
-    for name in calls:
-        def counted(*args, _name=name, _kernel=getattr(protocols, name)):
-            calls[_name] += 1
-            return _kernel(*args)
-        monkeypatch.setattr(protocols, name, counted)
+    calls = counted(monkeypatch, protocols, "lightwave_rate", "optical_harvest", "illuminance_at")
     protocols._band_terms(scenario, protocol, 41)
     # one level of the pinned band's alpha, 41 of the swept one's; each level
     # harvests twice (ID slot and all-DC remainder)
@@ -887,8 +794,7 @@ def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_sce
     swept = sweep(other, ProtocolId.D, grid).points.rows()
     cold = dataclasses.replace(other)  # a scenario no context was built for
     assert [tuple(v.hex() for v in row[:2]) for row in swept] == [
-        tuple(v.hex() for v in evaluate(cold, ProtocolId.D, controls)[:2])
-        for controls in enumerate_controls(ProtocolId.D, grid)]
+        bits(evaluate(cold, ProtocolId.D, c)) for c in enumerate_controls(ProtocolId.D, grid)]
     assert merged() == first
     assert protocols._last_bands[0] is cold  # the merge left evaluate's context alone
 
