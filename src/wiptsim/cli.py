@@ -161,22 +161,15 @@ def _csv_rows(store):
 def _write_together(outputs):
     """Write each (path, byte chunks) pair as one set of files.
 
-    A target that exists and is neither a regular file nor a link is refused
-    before anything is written: a rename would replace a FIFO, device or socket,
-    and over a directory it would fail after the renames before it.  Every file is
-    then written in full to a temporary file beside its target; only then is
-    each renamed over its target.  If writing any of them fails, every
-    temporary file and every directory this call made is removed, and the
-    old targets stay as they were.  A rename can still fail where no check
-    foresees it (over another user's file in a sticky directory, or over a
+    cmd_region refuses a target that exists and is neither a regular file nor a
+    link before it sweeps.  Every file is then written in full to a temporary file
+    beside its target; only then is each renamed over its target.  If writing any
+    of them fails, every temporary file and every directory this call made is
+    removed, and the old targets stay as they were.  A rename can still fail where
+    no check foresees it (over another user's file in a sticky directory, or over a
     directory made since), and then the targets renamed before it are new.
     Chunks are formatted as they are written, so the whole text is never built.
     """
-    for path, _ in outputs:
-        if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces a link
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if os.path.exists(path) and not (os.path.isfile(path) or os.path.islink(path)):
-            raise OSError(errno.EINVAL, "Not a regular file", str(path))
     moves = []
     made = []  # directories this call created, deepest first
     try:
@@ -202,10 +195,17 @@ def _write_together(outputs):
 
 
 def cmd_region(scenario, protocol, grid, out_path):
-    region = sweep(scenario, protocol, grid)
     out = Path(out_path)
     frontier_path = out.with_name(out.name.removesuffix(".csv") + ".frontier.csv")
+    # Refused before the sweep: a rename would replace a FIFO, device or socket, and over
+    # a directory it would fail after the renames before it.
     try:
+        for path in (out_path, frontier_path):
+            if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces a link
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if os.path.exists(path) and not (os.path.isfile(path) or os.path.islink(path)):
+                raise OSError(errno.EINVAL, "Not a regular file", str(path))
+        region = sweep(scenario, protocol, grid)
         _write_together([(out_path, _csv_rows(region.points)),
                          (frontier_path, _csv_rows(region.frontier))])
     except OSError as exc:

@@ -202,7 +202,7 @@ class SweepBudgetError(ValueError):
 
 # Tuples an engine may build for one protocol at one go (tuples_built), grid 128 on
 # three axes.  A swept point keeps 16 bytes of rate and harvest and 5-8 of control
-# indices (44-50 MB at the bound), a band term of compare 16.  The CLI peaks at 82 MB
+# indices (44-50 MB at the bound), a band term of compare 16.  The CLI peaks at 81 MB
 # of RSS for region d --grid 128 or vl --grid 1448, and at 345 MB for rf --grid
 # 2097152, set by its sweep (306 MB traced: the rho_rf axis as Python floats, and a
 # frontier that is every point); the CSV writer's level texts, 16-byte rows formatted
@@ -213,7 +213,7 @@ _MAX_SWEEP_TUPLES = 1 << 21
 # reuses a lightwave term only on consecutive tuples (the lightwave memo
 # holds one) and the RF terms of every rho_rf level across lightwave
 # tuples.  A sweep that reuses them has at least two free axes, so at
-# most isqrt(_MAX_SWEEP_TUPLES) == 1,448 rho_rf levels, and never evicts.
+# most isqrt(_MAX_SWEEP_TUPLES) == 1,448 rho_rf levels, and never clears.
 _MEMO_SIZE = math.isqrt(_MAX_SWEEP_TUPLES)
 
 
@@ -243,16 +243,19 @@ class _Bands:
     alpha) with one entry a band, as alpha lies outside tau in grid order.
     evaluate frames a level over its tau, _band_terms over the tau axis, in
     one operand order.  Both read protocol c's lux gate (``lux``: the VL
-    geometry and the full-drive illuminance) and the RF memo, which maps
-    (drive, rho_rf) to the RF term.  evaluate's lightwave memo maps a row and
-    (alpha_nirl, tau_nirl, alpha_vl, tau_vl) to (lux violation or None, rate,
-    harvested power), the lightwave bands' terms added from 0.0, and holds only
-    the last (see _MEMO_SIZE): a sweep computes the terms once per distinct
-    band tuple, not once per grid point.  The memos are bounded and closed over
-    the scenario, so they die with it; a miss looks its kernels up here.
+    geometry and the full-drive illuminance) and ``rf``, which puts the RF term
+    of a (drive, rho_rf) key in the RF memo ``rf_terms``, a dict cleared when it
+    holds _MEMO_SIZE terms.  ``lightwave`` gives a row's (lux violation or None,
+    rate, harvested power) at a control tuple, the lightwave bands' terms added
+    from 0.0; for a row that drives RF, evaluate keeps the last in ``last`` as
+    (row, alpha_nirl, tau_nirl, alpha_vl, tau_vl, term), which a tuple hits only
+    when the row and all four controls are the same objects.  Consecutive grid
+    tuples share them, so a sweep computes the terms once per distinct band
+    tuple, not once per grid point.  The memos are bounded and closed over the
+    scenario, so they die with it; a miss looks its kernels up here.
     """
 
-    __slots__ = ("lux", "levels", "lightwave", "rf")
+    __slots__ = ("lux", "levels", "lightwave", "rf", "rf_terms", "last")
 
     def __init__(self, scenario):
         vl_geometry, limits = scenario.vl_geometry(), scenario.safety
@@ -278,8 +281,7 @@ class _Bands:
         def levels(name, drive, alpha):
             return _lightwave_levels(scenario, drive(scenario), gains[name], alpha)
 
-        @lru_cache(maxsize=1)
-        def lightwave(row, *controls):
+        def lightwave(row, controls):
             if row.lux_gated:
                 level, above, below = lux(controls[2], controls[3])
                 if above or below:
@@ -300,18 +302,23 @@ class _Bands:
                 harvested += e
             return None, rate, harvested
 
-        @lru_cache(maxsize=_MEMO_SIZE)
-        def rf(power, rho):
+        rf_terms = {}
+        def rf(key):
+            power, rho = key
             try:
                 r, e = _rf_branch(scenario, power(scenario), rho)
             except ArithmeticError as exc:
                 raise _band_error("RF", exc) from None
             if not (math.isfinite(r) and math.isfinite(e)):
                 raise _band_error("RF", (r, e))
+            if len(rf_terms) >= _MEMO_SIZE:
+                rf_terms.clear()
+            rf_terms[key] = r, e
             return r, e
 
         self.lux, self.levels = lux, levels
-        self.lightwave, self.rf = lightwave, rf
+        self.lightwave, self.rf, self.rf_terms = lightwave, rf, rf_terms
+        self.last = (None,) * 6  # no row is None
 
 
 # The last scenario and its band context, compared by identity so the
@@ -343,12 +350,21 @@ def evaluate(scenario, protocol, controls):
     if last is not scenario:
         bands = _Bands(scenario)
         _last_bands = (scenario, bands)
-    violation, rate, harvested = bands.lightwave(row, alpha_nirl, tau_nirl, alpha_vl, tau_vl)
+    if row.rf is None:  # rho_rf is pinned, so no two grid tuples share a lightwave term
+        term = bands.lightwave(row, controls)
+    else:  # read once, replaced whole: a key is never paired with another key's term
+        held, a_nirl, t_nirl, a_vl, t_vl, term = bands.last
+        if not (held is row and a_nirl is alpha_nirl and t_nirl is tau_nirl
+                and a_vl is alpha_vl and t_vl is tau_vl):
+            term = bands.lightwave(row, controls)
+            bands.last = row, alpha_nirl, tau_nirl, alpha_vl, tau_vl, term
+    violation, rate, harvested = term
     if violation is not None:
         raise InfeasibleControlsError(violation)
 
     if row.rf is not None:
-        r, e = bands.rf(row.rf, rho_rf)
+        key = row.rf, rho_rf
+        r, e = bands.rf_terms.get(key) or bands.rf(key)
         rate += r
         harvested += e
 
@@ -428,7 +444,7 @@ def _band_terms(scenario, protocol, grid_points_per_axis):
     rf = np.full((len(rho_levels), 2), math.inf)  # kept where it raised, so each sum fails
     with suppress(ScenarioValidationError):
         for k, rho in enumerate(rho_levels):
-            rf[k] = bands.rf(row.rf, rho)
+            rf[k] = bands.rf((row.rf, rho))
     feasible, terms = feasible.ravel(), terms.reshape(2, -1).T
     # Correctly rounded addition never decreases when an addend grows, so a
     # lightwave term's sums with the RF minima and maxima bound its others.

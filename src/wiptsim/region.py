@@ -161,10 +161,19 @@ def sweep(scenario, protocol, grid_points_per_axis):
 
 def _sorted_frontier(rate, harvest):
     """Indices of the Pareto-maximal points, by ascending rate (see pareto)."""
-    # Rate falling, then harvest falling, stably, so the first of equal points
-    # comes first; a point is kept when its harvest beats every one before it.
-    order = np.lexsort((-harvest, -rate))
-    sorted_harvest = harvest[order]
+    # Rate falling (an argsort), then harvest falling (a lexsort of each run of equal
+    # or NaN rates), stably, so the first of equal points comes first; a point is
+    # kept when its harvest beats every one before it.
+    work = np.negative(rate)  # reused below: np.take's "clip" mode fills it unbuffered
+    order = work.argsort(kind="stable")
+    np.take(rate, order, out=work, mode="clip")  # the rates in that order, NaNs last
+    tied = np.zeros(len(work), dtype=bool)  # the positions in runs
+    tied[1:] = (work[1:] == work[:-1]) | np.isnan(work[1:])  # each like the one before
+    tied[:-1] |= tied[1:]  # ufuncs read overlapping operands as if apart
+    runs = order[tied]
+    order[tied] = runs[np.lexsort((runs, -harvest[runs], -rate[runs]))]
+    del tied, runs  # before the filter's arrays
+    sorted_harvest = np.take(harvest, order, out=work, mode="clip")
     best_before = np.empty_like(sorted_harvest)
     best_before[:1] = -np.inf
     np.maximum.accumulate(sorted_harvest[:-1], out=best_before[1:])

@@ -41,6 +41,19 @@ def brute_frontier_indices(rates, energies):
     return kept
 
 
+def lexsort_frontier(rate, harvest):
+    """The Pareto kernel as one lexsort, the oracle of region._sorted_frontier:
+    indices of the Pareto-maximal points, by ascending rate."""
+    # Rate falling, then harvest falling, stably, so the first of equal points
+    # comes first; a point is kept when its harvest beats every one before it.
+    order = np.lexsort((-harvest, -rate))
+    sorted_harvest = harvest[order]
+    best_before = np.empty_like(sorted_harvest)
+    best_before[:1] = -np.inf
+    np.maximum.accumulate(sorted_harvest[:-1], out=best_before[1:])
+    return order[sorted_harvest > best_before][::-1]
+
+
 def link_gains(scenario):
     """The (VL, NIRL) link gains, from the public channel_gain."""
     return tuple(channel_gain(geometry, scenario.pd_area, scenario.optical_filter_gain)

@@ -355,6 +355,25 @@ def test_region_refuses_a_fifo_target(default_file, tmp_path, monkeypatch, capsy
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("target", ["x.csv", "x.frontier.csv"])
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_region_refuses_a_target_before_the_sweep(default_file, tmp_path, monkeypatch, capsys,
+                                                  target, kind):
+    def no_sweep(*args):
+        raise AssertionError("swept before the targets were checked")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (os.mkdir if kind == "directory" else os.mkfifo)(target)
+    assert main(["region", default_file, "d", "--grid", "101", "--out", "x.csv"]) == 5
+    captured = capsys.readouterr()
+    error = ("[Errno 21] Is a directory" if kind == "directory"
+             else "[Errno 22] Not a regular file")
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write 'x.csv' and 'x.frontier.csv': "
+                            f"{error}: '{target}'\n")
+
+
 def test_region_replaces_a_link_not_the_fifo_it_names(default_file, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     os.mkfifo("fifo")

@@ -30,7 +30,8 @@ from wiptsim import cli, protocols
 from wiptsim import region as region_module
 from wiptsim.cli import CSV_HEADER, _csv_rows
 from helpers import (assert_sweeps_equal_cold_evaluate, bits, brute_frontier_indices, counted,
-                     direct_outcome, direct_terms, lux_gated, lux_rejects, valid_scenarios)
+                     direct_outcome, direct_terms, lexsort_frontier, lux_gated, lux_rejects,
+                     valid_scenarios)
 
 _DUMMY_CONTROLS = ProtocolControls(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -415,6 +416,45 @@ def test_blocked_pareto_equals_brute_force(block, points):
     assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
 
 
+_TIED_FLOATS = np.array([0.0, -0.0, 5e-324, 1.0, np.inf, -np.inf, np.nan])
+_COLUMN_KINDS = st.sampled_from(["tied", "repeated", "random"])
+
+
+def _column(rng, n, kind):
+    if kind == "tied":
+        return rng.choice(_TIED_FLOATS, n)
+    if kind == "repeated":  # random floats, each about 50 times
+        return rng.choice(rng.standard_normal(n // 50 + 1), n)
+    return rng.standard_normal(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20) | st.integers(0, 200_000), st.integers(0, 2 ** 32 - 1), _COLUMN_KINDS,
+       _COLUMN_KINDS)
+@example(200_000, 0, "tied", "tied")
+@example(200_000, 0, "tied", "repeated")
+def test_frontier_kernel_equals_the_lexsort_kernel(n, seed, rate_kind, harvest_kind):
+    # the brute oracle stops at 60 points; this one reaches several blocks
+    rng = np.random.default_rng(seed)
+    rate, harvest = _column(rng, n, rate_kind), _column(rng, n, harvest_kind)
+    want = lexsort_frontier(rate, harvest)
+    assert np.array_equal(region_module._sorted_frontier(rate, harvest), want)
+    blocks = list(region_module._blocks(rate, harvest))
+    blocked = region_module._frontier(blocks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(region_module, "_sorted_frontier", lexsort_frontier)
+        assert np.array_equal(blocked, region_module._frontier(blocks))
+    if not np.isnan(harvest).any():  # a NaN harvest ends the filter within its own block
+        assert np.array_equal(blocked, want)
+
+
+def test_frontier_kernel_sorts_a_run_of_nan_rates_by_harvest():
+    # NaN rates sort last and compare unequal, yet form one run of the key
+    rate, harvest = np.array([np.nan, 1.0, np.nan]), np.array([1.0, 0.0, 2.0])
+    assert lexsort_frontier(rate, harvest).tolist() == [2, 1]
+    assert region_module._sorted_frontier(rate, harvest).tolist() == [2, 1]
+
+
 def _assert_store_invariants(store):
     assert len(store.levels) == len(store.index) == 5
     for levels, index in zip(store.levels, store.index):
@@ -549,25 +589,39 @@ def test_sweeps_of_random_scenarios_equal_cold_evaluate(s, grid):
 
 
 def test_sweep_equals_cold_evaluate_when_memos_evict(monkeypatch, lux_gated_scenario):
-    # three entries for five rho_rf levels: the RF memo evicts on every lookup
+    # three entries for five rho_rf levels: the RF memo clears before every reuse
     monkeypatch.setattr(protocols, "_MEMO_SIZE", 3)
+    sizes = []  # the current context's RF memo size at each RF kernel call
+    kernel = protocols._rf_branch
+
+    def recording(*args):
+        sizes.append(len(protocols._last_bands[1].rf_terms))
+        return kernel(*args)
+
+    monkeypatch.setattr(protocols, "_rf_branch", recording)
     s = dataclasses.replace(lux_gated_scenario)
     assert_sweeps_equal_cold_evaluate(s, 5)
+    assert max(sizes) == 3
+    sizes.clear()
+    sweep(s, ProtocolId.D, 5)
     last, bands = protocols._last_bands
-    assert last is s
-    rf = bands.rf.cache_info()
-    assert (rf.maxsize, rf.currsize, rf.hits) == (3, 3, 0)
-    assert rf.misses > rf.currsize  # some RF term was evicted
+    assert last is s and len(bands.rf_terms) <= 3
+    assert len(sizes) == 5 ** 3 and max(sizes) == 3  # every RF term was cleared before its reuse
 
 
-def test_sweep_computes_each_band_term_once_and_holds_one_lightwave_term(scenario):
+def test_sweep_computes_each_band_term_once_and_holds_one_lightwave_term(monkeypatch, scenario):
     s = dataclasses.replace(scenario)  # a scenario no context was built for
+    bands = protocols._Bands(s)
+    monkeypatch.setattr(protocols, "_last_bands", (s, bands))
+    calls = counted(monkeypatch, bands, "lightwave", "rf")
     sweep(s, ProtocolId.D, 21)
-    last, bands = protocols._last_bands
-    assert last is s
-    lightwave, rf = bands.lightwave.cache_info(), bands.rf.cache_info()
-    assert (lightwave.misses, lightwave.currsize, lightwave.maxsize) == (21 ** 2, 1, 1)
-    assert (rf.misses, rf.currsize) == (21, 21)
+    assert protocols._last_bands[1] is bands
+    assert calls == {"lightwave": 21 ** 2, "rf": 21}
+    assert len(bands.rf_terms) == 21
+    # one lightwave term, the last tuple's: (row, four lightwave controls, term)
+    row, *controls, term = bands.last
+    assert row is protocols._TABLE[ProtocolId.D] and controls == [1.0, 1.0, 0.5, 1.0]
+    assert term == bands.lightwave(row, (*controls, 1.0))
 
 
 def test_compare_merges_the_protocols_that_drive_the_rf_band(monkeypatch, scenario, capsys):
