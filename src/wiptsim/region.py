@@ -20,6 +20,12 @@ from .protocols import (
 _FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts at one go: bounds its temporaries
 
 
+def _finite(rate, harvest):  # the columns, once no point is inf or NaN: the order is total
+    for i in np.flatnonzero(~np.isfinite([rate, harvest]).all(axis=0))[:1]:  # the first
+        raise ValueError(f"point {i} is not finite: rate {rate[i]}, harvested power {harvest[i]}")
+    return rate, harvest
+
+
 def _index_dtype(levels):
     """The smallest unsigned dtype that indexes this many levels (uint8 up to 256)."""
     return np.min_scalar_type(max(levels - 1, 0))
@@ -46,7 +52,7 @@ class _Points:
         rows = [(p.rate, p.harvested_power, *p.controls) for p in points]
         rate, harvest, *controls = np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy()
         levels, index = zip(*(np.unique(c.view(np.int64), return_inverse=True) for c in controls))
-        return cls(protocol, rate, harvest, tuple(bits.view(np.float64) for bits in levels),
+        return cls(protocol, *_finite(rate, harvest), tuple(bits.view(np.float64) for bits in levels),
                    tuple(i.astype(_index_dtype(len(bits))) for i, bits in zip(index, levels)))
 
     # rate, harvested power and the controls as seven float64 columns, built on demand
@@ -122,9 +128,9 @@ class DegenerateRegionError(RuntimeError):
 class RateEnergyRegion:
     """Swept operating points plus their Pareto-maximal frontier.
 
-    Both are column stores (any sequence of points passed in is stored as
-    one).  The frontier is sorted by ascending rate, which makes its
-    harvested power strictly decreasing.
+    Both are column stores.  A sequence of points passed in is stored as one, and
+    must be finite: ValueError names its first point with an inf or NaN rate or harvested
+    power.  The frontier rises in rate, which makes its harvested power strictly fall.
     """
 
     points: _Points
@@ -161,14 +167,13 @@ def sweep(scenario, protocol, grid_points_per_axis):
 
 def _sorted_frontier(rate, harvest):
     """Indices of the Pareto-maximal points, by ascending rate (see pareto)."""
-    # Rate falling (an argsort), then harvest falling (a lexsort of each run of equal
-    # or NaN rates), stably, so the first of equal points comes first; a point is
-    # kept when its harvest beats every one before it.
+    # Rate falling (an argsort), then harvest falling (a lexsort of each run of equal rates),
+    # stably, so the first of equal points comes first; keep those whose harvest tops all before.
     work = np.negative(rate)  # reused below: np.take's "clip" mode fills it unbuffered
     order = work.argsort(kind="stable")
-    np.take(rate, order, out=work, mode="clip")  # the rates in that order, NaNs last
+    np.take(rate, order, out=work, mode="clip")  # the rates in that order
     tied = np.zeros(len(work), dtype=bool)  # the positions in runs
-    tied[1:] = (work[1:] == work[:-1]) | np.isnan(work[1:])  # each like the one before
+    tied[1:] = work[1:] == work[:-1]  # each equal to the one before
     tied[:-1] |= tied[1:]  # ufuncs read overlapping operands as if apart
     runs = order[tied]
     order[tied] = runs[np.lexsort((runs, -harvest[runs], -rate[runs]))]
@@ -203,17 +208,17 @@ def _blocks(rate, harvest):  # at least one, so an empty input has an empty fron
 def pareto(points):
     """Pareto-maximal subset under (rate, harvested_power), ascending rate.
 
-    A point is dropped when another point is at least as good in both
-    coordinates and strictly better in one; exact duplicates collapse to
-    their first occurrence in input order.  A column store gives a store;
-    any other sequence gives a list of its own point objects.
+    A point is dropped when another point is at least as good in both coordinates
+    and strictly better in one; exact duplicates collapse to their first occurrence
+    in input order.  A column store gives a store; any other sequence gives a list of
+    its own point objects, and ValueError at its first inf or NaN rate or harvest.
     """
     if isinstance(points, _Points):
         return points.take(_frontier(_blocks(points.rate, points.harvest)))
     points = list(points)
     rate = np.fromiter((p.rate for p in points), np.float64, len(points))
     harvest = np.fromiter((p.harvested_power for p in points), np.float64, len(points))
-    return [points[i] for i in _frontier(_blocks(rate, harvest))]
+    return [points[i] for i in _frontier(_blocks(*_finite(rate, harvest)))]
 
 
 def _frontier_end(region, column, end):

@@ -11,6 +11,12 @@ against the installed wiptsim with `pip install . && python tests/cli_contract.p
 one line per row, every failing row reported, then exit 1 if any failed.  Tier-1
 runs the FAST rows, which bound no RSS: a child's ru_maxrss starts at its parent's
 resident size, so only this script, which imports neither numpy nor wiptsim, reads it.
+Every child runs with MALLOC_MMAP_THRESHOLD_=131072, glibc's initial mmap threshold.
+Setting it turns off glibc's dynamic raise of the threshold (each free of a large
+mmapped block raises it), so a peak follows the data held, not the heap's history or
+where the checkout sits; output bytes do not depend on it.  Other libcs ignore it.
+Each RSS bound is the largest of three runs at each of two checkout locations, plus
+at least 20%.
 """
 
 import hashlib
@@ -165,17 +171,17 @@ SLOW = {
     # d's 1,030,301 points keep their controls as one-byte index columns (120 MB as float64)
     "region-d-grid-101": _region(DEFAULT, "d", 101, 1030301,
                                  "6ded5faba8abf53728e7bf31c6fc297e4446f1c43bfe3f437ae545b7e9e7a75d",
-                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 90),
+                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 72),
     # c keeps the grid positions it rejects in a typed array (128 MB as a list of ints)
-    "lux-region-c-grid-128": Row(LUX, [*REGION, "c", "--grid", "128", *OUT], 0, *_wrote(892160), 100),
+    "lux-region-c-grid-128": Row(LUX, [*REGION, "c", "--grid", "128", *OUT], 0, *_wrote(892160), 90),
     # each file's rho_rf level texts are formatted a block at a time; the sweep sets the peak
     "region-rf-grid-2097152": _region(DEFAULT, "rf", 2097152, 2097152,
                                       "2648d9173eb3a7bcb3a5be9a6ee075011b41aaf257e339600037f63edb561098",
-                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 420),
+                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 415),
     "compare-grid-1001": Row(DEFAULT, [*COMPARE, "--grid", "1001"], 0, _table(10), digests={
         "stdout": "fabdc0bb745d1637b21b4efe991062ee043a38dc8e8ff8de0d1fcc9d558da288"}),
     # the largest grid compare admits: c's and d's counts take ten digits, and vl's and
-    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (170-198 MB peak)
+    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (165 MB peak)
     "compare-grid-1448": Row(DEFAULT, [*COMPARE, "--grid", "1448"], 0, re.escape(
         "protocol      points    max_rate_bps    max_energy_w    dom_rf    dom_vl  dom_nirl\n"
         "rf              1448    3.175496e+08    1.752868e-03         -         -         -\n"
@@ -185,7 +191,7 @@ SLOW = {
         "b            2096704    2.128100e+09    1.058657e-02       yes       yes        no\n"
         "c         3036027392    1.688812e+09    1.058657e-02       yes       yes        no\n"
         "d         3036027392    3.280458e+09    1.024192e-02       yes       yes       yes\n"),
-        rss_mb=240),
+        rss_mb=200),
 }
 
 
@@ -210,7 +216,8 @@ def check(row, command):
     with TemporaryDirectory() as work, TemporaryFile() as out, TemporaryFile() as err:
         Path(work, "s.toml").write_bytes(row.scenario)
         start = time.perf_counter()
-        proc = subprocess.Popen([*command, *row.argv], cwd=work, stdout=out, stderr=err)
+        proc = subprocess.Popen([*command, *row.argv], cwd=work, stdout=out, stderr=err,
+                                env={**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072"})
         delay = 0.0005  # poll as Popen.wait does: its own reaping would drop the rusage
         while not (reaped := os.wait4(proc.pid, os.WNOHANG))[0]:
             if time.perf_counter() - start > TIMEOUT_S:

@@ -402,21 +402,24 @@ def test_pareto_equals_brute_force_on_lists_and_columns(points):
 
 @pytest.mark.parametrize("block", [1, 2, 7])
 @settings(max_examples=100, deadline=None)
-@given(points=_points(_TIED, max_size=60))
-def test_blocked_pareto_equals_brute_force(block, points):
-    # the frontier of the blocks' frontiers, filtered again in input order,
-    # keeps the same first duplicate (0.0 against -0.0 included)
+@given(points=_points(_TIED, max_size=60), data=st.data())
+def test_blocked_pareto_equals_brute_force(block, points, data):
+    # the frontier of the blocks' frontiers, filtered again in input order, keeps
+    # the same first duplicate (0.0 against -0.0 included), at the fixed block size
+    # and at one drawn from 1 to the input's length
+    drawn = data.draw(st.integers(1, len(points)), label="drawn block")
     points = _indexed(points)
     slow = brute_force_frontier(points)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(region_module, "_FRONTIER_BLOCK", block)
-        fast = pareto(points)
-        columns = pareto(RateEnergyRegion(points, (), ProtocolId.D, 2).points)
-    assert len(fast) == len(slow) and all(a is b for a, b in zip(fast, slow))
-    assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
+    for size in (block, drawn):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(region_module, "_FRONTIER_BLOCK", size)
+            fast = pareto(points)
+            columns = pareto(RateEnergyRegion(points, (), ProtocolId.D, 2).points)
+        assert len(fast) == len(slow) and all(a is b for a, b in zip(fast, slow))
+        assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
 
 
-_TIED_FLOATS = np.array([0.0, -0.0, 5e-324, 1.0, np.inf, -np.inf, np.nan])
+_TIED_FLOATS = np.array([0.0, -0.0, 5e-324, 1.0, np.inf, -np.inf])
 _COLUMN_KINDS = st.sampled_from(["tied", "repeated", "random"])
 
 
@@ -444,15 +447,31 @@ def test_frontier_kernel_equals_the_lexsort_kernel(n, seed, rate_kind, harvest_k
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(region_module, "_sorted_frontier", lexsort_frontier)
         assert np.array_equal(blocked, region_module._frontier(blocks))
-    if not np.isnan(harvest).any():  # a NaN harvest ends the filter within its own block
-        assert np.array_equal(blocked, want)
+    assert np.array_equal(blocked, want)
 
 
-def test_frontier_kernel_sorts_a_run_of_nan_rates_by_harvest():
-    # NaN rates sort last and compare unequal, yet form one run of the key
-    rate, harvest = np.array([np.nan, 1.0, np.nan]), np.array([1.0, 0.0, 2.0])
-    assert lexsort_frontier(rate, harvest).tolist() == [2, 1]
-    assert region_module._sorted_frontier(rate, harvest).tolist() == [2, 1]
+def test_pareto_and_regions_refuse_non_finite_points():
+    # The maxima filter needs a total order, which NaN breaks: given rate [3, 4, 1, 2] and
+    # harvest [nan, 1, 5, 4], one block kept only point 1, and blocks of 2 kept 2, 3 and 1.
+    refusals = (pareto,
+                lambda points: RateEnergyRegion(points=points, frontier=(),
+                                                protocol=ProtocolId.D, grid_points_per_axis=2),
+                lambda points: RateEnergyRegion(points=(), frontier=points,
+                                                protocol=ProtocolId.D, grid_points_per_axis=2))
+    with pytest.raises(ValueError, match=r"^point 0 is not finite: rate 3\.0, harvested power nan$"):
+        pareto([_point(3.0, np.nan), _point(4.0, 1.0), _point(1.0, 5.0), _point(2.0, 4.0)])
+    cases = [([1.0, 2.0, np.nan], [1.0, np.inf, 1.0], 1)]  # the first, whichever its column
+    for bad, column, at in itertools.product([np.nan, np.inf, -np.inf], range(2), [0, 2]):
+        values = [[3.0, 4.0, 1.0, 2.0], [1.0, 1.0, 5.0, 4.0]]
+        values[column][at] = bad
+        cases.append((*values, at))
+    for rate, harvest, at in cases:
+        points = [_point(r, h) for r, h in zip(rate, harvest)]
+        for refuse in refusals:
+            with pytest.raises(ValueError) as refused:
+                refuse(points)
+            assert str(refused.value) == (
+                f"point {at} is not finite: rate {rate[at]}, harvested power {harvest[at]}")
 
 
 def _assert_store_invariants(store):
