@@ -56,15 +56,9 @@ def _cells(rows):
 _DIGITS3, _DIGITS2 = _cells(_DIGITS), _cells(_DIGITS[:, 1:].copy())  # "000".."999", "00".."99"
 
 
-def _e8_texts(values):
-    """Python's own "%.8e" texts of a float64 array, as NUL-padded uint8 rows."""
-    texts = np.array([f"{v:.8e}" for v in values.tolist()], dtype=f"S{_E8_WIDTH}")
-    return texts.view(np.uint8).reshape(len(texts), _E8_WIDTH)
-
-
 def _e8(values):
-    """The "%.8e" texts of a float64 array as one void item each, and whether
-    any is NUL-padded (shorter than the widest).
+    """The "%.8e" texts of a float64 array as one void item each, NUL-padded to
+    the widest (at least 14 bytes), and whether any is shorter than that width.
 
     With e = floor(log10 v), s = v * 10**(8 - e) is one correctly rounded
     product or quotient by an exact power of ten while |8 - e| <= 22, so below
@@ -99,30 +93,23 @@ def _e8(values):
     other = np.flatnonzero(~kept)
     if not len(other):
         return _cells(rows), False
-    texts = _e8_texts(values[other])
+    texts = np.array([f"{v:.8e}" for v in values[other].tolist()], dtype=f"S{_E8_WIDTH}")
+    texts = texts.view(np.uint8).reshape(len(other), _E8_WIDTH)
     width = max(rows.shape[1], int(np.count_nonzero(texts, axis=1).max()))
     wide = np.zeros((len(values), width), np.uint8)
     wide[:, :rows.shape[1]] = rows
     wide[other] = texts[:, :width]
-    return _cells(wide), True
+    return _cells(wide), not wide[:, -1].all()  # a text shorter than the widest ends in NUL
 
 
 def _level_texts(levels, index):
-    """A control's level texts as one void item each, formatted _CSV_BLOCK levels
-    at a time into one matrix, which are NUL-padded (None if none is shorter than
-    the longest: the common case, which costs no gather), and the index into them:
-    with more levels than rows (a frontier keeps its parent's), only those used."""
+    """A control's level texts through _e8, whether any is NUL-padded, and the index
+    into them: with more levels than rows (a frontier keeps its parent's), only the
+    levels used are formatted."""
     if len(levels) > len(index):
         used, index = np.unique(index, return_inverse=True)
         levels = levels[used]
-    rows = np.empty((len(levels), _E8_WIDTH), np.uint8)
-    lengths = np.empty(len(levels), np.uint8)
-    for start in range(0, len(levels), _CSV_BLOCK):
-        chunk = rows[start:start + _CSV_BLOCK]
-        chunk[...] = _e8_texts(levels[start:start + _CSV_BLOCK])
-        lengths[start:start + _CSV_BLOCK] = np.count_nonzero(chunk, axis=1)
-    width = lengths.max()
-    return _cells(rows[:, :width]), (lengths < width if lengths.min() < width else None), index
+    return (*_e8(levels), index)
 
 
 def _csv_rows(store):
@@ -130,8 +117,8 @@ def _csv_rows(store):
 
     Each block of _CSV_BLOCK rows is one uint8 matrix: the protocol, the five
     control level texts gathered by the store's index columns (each level is
-    formatted once), rate and harvest through _e8, the commas and the newline.
-    A block whose fields differ in width is NUL-padded, then compacted.
+    formatted once), the rate and harvest texts, the commas and the newline; every
+    text comes from _e8.  A block with a NUL-padded field is compacted.
     """
     yield (CSV_HEADER + "\n").encode()
     if not len(store):
@@ -140,8 +127,7 @@ def _csv_rows(store):
     protocol = store.protocol.value.encode()
     for start in range(0, len(store), _CSV_BLOCK):
         part = slice(start, start + _CSV_BLOCK)
-        fields = [(texts[column[part]], short is not None and short[column[part]].any())
-                  for texts, short, column in levels]
+        fields = [(texts[column[part]], padded) for texts, padded, column in levels]
         fields += [_e8(store.rate[part]), _e8(store.harvest[part])]
         widths = [len(protocol), *(texts.itemsize for texts, _ in fields)]
         # each field and its comma or, after the last, the newline

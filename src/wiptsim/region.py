@@ -2,7 +2,7 @@
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,8 @@ class _Points:
     and each control as an index column, in _index_dtype of its own level
     count, into its float64 levels.  Levels are distinct by bits (-0.0 is not
     0.0), so equal indices mean equal bits.  Only this module builds a store
-    (``of``, ``_Sink.store``); ``OperatingPoint``s are built only when used."""
+    (``of``, ``_Sink.store``); ``OperatingPoint``s are built only when used.
+    Every point of a store is of its protocol."""
 
     __slots__ = ("protocol", "rate", "harvest", "levels", "index")
 
@@ -46,10 +47,14 @@ class _Points:
 
     @classmethod
     def of(cls, points, protocol):
-        """``points`` itself when it is a store, else a store holding its points."""
-        if isinstance(points, cls):
+        """``points`` itself when a store of ``protocol``, else a store holding its points."""
+        if isinstance(points, cls) and points.protocol == protocol:
             return points
-        rows = [(p.rate, p.harvested_power, *p.controls) for p in points]
+        rows = []
+        for i, p in enumerate(points):  # one pass: points may be a generator
+            if p.protocol != protocol:
+                raise ValueError(f"point {i} is of protocol {p.protocol.value}, not {protocol.value}")
+            rows.append((p.rate, p.harvested_power, *p.controls))
         rate, harvest, *controls = np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy()
         levels, index = zip(*(np.unique(c.view(np.int64), return_inverse=True) for c in controls))
         return cls(protocol, *_finite(rate, harvest), tuple(bits.view(np.float64) for bits in levels),
@@ -126,21 +131,22 @@ class DegenerateRegionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RateEnergyRegion:
-    """Swept operating points plus their Pareto-maximal frontier.
+    """Swept operating points plus their Pareto-maximal frontier, ``pareto(points)``.
 
-    Both are column stores.  A sequence of points passed in is stored as one, and
-    must be finite: ValueError names its first point with an inf or NaN rate or harvested
-    power.  The frontier rises in rate, which makes its harvested power strictly fall.
+    Both are column stores.  A sequence of points passed in is stored as one; each
+    must be of ``protocol`` and finite, and ValueError names the first that is not.
+    The frontier rises in rate, which makes its harvested power strictly fall.
     """
 
     points: _Points
-    frontier: _Points
+    frontier: _Points = field(init=False)
     protocol: ProtocolId
     grid_points_per_axis: int
 
     def __post_init__(self):
-        for name in ("points", "frontier"):
-            object.__setattr__(self, name, _Points.of(getattr(self, name), self.protocol))
+        points = _Points.of(self.points, self.protocol)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "frontier", pareto(points))
 
 
 def sweep(scenario, protocol, grid_points_per_axis):
@@ -156,13 +162,7 @@ def sweep(scenario, protocol, grid_points_per_axis):
         raise DegenerateRegionError(
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
-    points = points.store(protocol, grid.axes)
-    return RateEnergyRegion(
-        points=points,
-        frontier=pareto(points),
-        protocol=protocol,
-        grid_points_per_axis=grid_points_per_axis,
-    )
+    return RateEnergyRegion(points.store(protocol, grid.axes), protocol, grid_points_per_axis)
 
 
 def _sorted_frontier(rate, harvest):

@@ -173,7 +173,13 @@ SLOW = {
                                  "6ded5faba8abf53728e7bf31c6fc297e4446f1c43bfe3f437ae545b7e9e7a75d",
                                  "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 72),
     # c keeps the grid positions it rejects in a typed array (128 MB as a list of ints)
-    "lux-region-c-grid-128": Row(LUX, [*REGION, "c", "--grid", "128", *OUT], 0, *_wrote(892160), 90),
+    "lux-region-c-grid-128": _region(LUX, "c", 128, 892160,
+                                     "ffc23ced6fd96a65a92f15e15fafd323cb9ef4d7698938224fac8ec95d33d6ec",
+                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 90),
+    # 2,096,704 points: each free axis has 1,448 levels, each formatted once by _e8 (80.9 MB peak)
+    "region-vl-grid-1448": _region(DEFAULT, "vl", 1448, 2096704,
+                                   "0cc15f78e073222f1edc13274b4343ce59d4711fda3610d7c332fa5ee6b9ae9f",
+                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 98),
     # each file's rho_rf level texts are formatted a block at a time; the sweep sets the peak
     "region-rf-grid-2097152": _region(DEFAULT, "rf", 2097152, 2097152,
                                       "2648d9173eb3a7bcb3a5be9a6ee075011b41aaf257e339600037f63edb561098",

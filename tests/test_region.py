@@ -170,11 +170,35 @@ def test_max_rate_bounds_points(scenario):
 
 
 def test_max_on_empty_region():
-    empty = RateEnergyRegion((), (), ProtocolId.RF_ONLY, 2)
+    empty = RateEnergyRegion((), ProtocolId.RF_ONLY, 2)
     with pytest.raises(DegenerateRegionError):
         max_rate(empty)
     with pytest.raises(DegenerateRegionError):
         max_energy(empty)
+
+
+def test_region_frontier_is_pareto_of_its_points():
+    # the frontier is pareto(points) in whatever order the points come, so both ends
+    # and dominance read a true frontier; no frontier can be passed in beside them
+    falling, rising = ([OperatingPoint(r, h, _DUMMY_CONTROLS, ProtocolId.D) for r, h in pairs]
+                       for pairs in ([(2.0, 1.0), (1.0, 2.0)], [(1.0, 2.0), (2.0, 1.0)]))
+    region, other = (RateEnergyRegion(points, ProtocolId.D, 2) for points in (falling, rising))
+    assert (max_rate(region), max_energy(region)) == (2.0, 2.0)
+    assert dominates(region, other) and dominates(other, region)
+    assert region.frontier == pareto(region.points)
+    with pytest.raises(TypeError):
+        RateEnergyRegion(falling, pareto(falling), ProtocolId.D, 2)
+
+
+def test_region_refuses_points_of_another_protocol(scenario):
+    # else the CSV would write a's points, with a's pins, as d rows
+    a, d = (list(sweep(scenario, protocol, 3).points) for protocol in (ProtocolId.A, ProtocolId.D))
+    for points in (a, sweep(scenario, ProtocolId.A, 3).points):  # a list, then a store
+        with pytest.raises(ValueError, match=r"^point 0 is of protocol a, not d$"):
+            RateEnergyRegion(points, ProtocolId.D, 3)
+    with pytest.raises(ValueError, match=r"^point 27 is of protocol a, not d$"):
+        RateEnergyRegion((p for p in d + a), ProtocolId.D, 3)  # read once, as it is built
+    assert RateEnergyRegion(iter(d), ProtocolId.D, 3).points == sweep(scenario, ProtocolId.D, 3).points
 
 
 def test_dominates_reflexive(scenario):
@@ -223,7 +247,7 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
                 ProtocolControls(0.0, -0.0, 0.5, 0.5, 0.0)]
     points = [OperatingPoint(1.0 + i, -0.0 if i else 0.0, c, ProtocolId.D)
               for i, c in enumerate(controls)]
-    lines = b"".join(_csv_rows(RateEnergyRegion(points, (), ProtocolId.D, 2).points)).decode()
+    lines = b"".join(_csv_rows(RateEnergyRegion(points, ProtocolId.D, 2).points)).decode()
     lines = lines.split("\n")
     assert len(lines) == 5 and lines[-1] == ""
     for line, p in zip(lines[1:], points):
@@ -234,8 +258,10 @@ def test_csv_rows_keep_the_sign_of_zero_controls():
 
 
 def _e8_strings(values):
-    """The texts cli._e8 writes for a float64 array, NUL padding dropped."""
-    cells, _ = cli._e8(np.asarray(values, dtype=np.float64))
+    """The texts cli._e8 writes for a float64 array, NUL padding dropped, once its
+    flag is checked: True exactly when some cell holds a NUL."""
+    cells, padded = cli._e8(np.asarray(values, dtype=np.float64))
+    assert padded is any(b"\0" in cell.tobytes() for cell in cells)
     return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
 
 
@@ -267,6 +293,9 @@ def test_e8_equals_format_e_at_the_edges():
     values = np.array(_E8_EDGES + [-v for v in _E8_EDGES])
     assert _e8_strings(values) == [format(v, ".8e") for v in values.tolist()]
     assert [_e8_strings([v])[0] for v in values] == [format(v, ".8e") for v in values.tolist()]
+    # 1.0 misses the kernel's window (s = 1e8), but its text is as wide as the rest
+    assert cli._e8(np.array([1.0]))[1] is False and cli._e8(np.array([1.0, 0.5]))[1] is False
+    assert cli._e8(np.array([-1.0, 0.5]))[1] is True
 
 
 @settings(max_examples=500, deadline=None)
@@ -288,7 +317,7 @@ def test_csv_blocks_of_mixed_widths(monkeypatch):
             (1.25, 2.5, 0.0, 0.5), (3.5e6, 4.5e-3, 0.5, 0.5), (1e-3, 7.0, 0.0, 0.0)]
     points = [OperatingPoint(rate, harvest, ProtocolControls(a, 0.25, b, 0.75, a), ProtocolId.D)
               for rate, harvest, a, b in rows]
-    store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
+    store = RateEnergyRegion(points, ProtocolId.D, 2).points
     blocks = [block.decode() for block in _csv_rows(store)]
     assert len(blocks) == 3
     for block, chunk in zip(blocks[1:], (points[:4], points[4:])):
@@ -312,18 +341,17 @@ def test_csv_rows_format_only_the_levels_a_small_store_uses(monkeypatch):
     want = [",".join(["rf", *(format(v, ".8e") for v in (0, 0, 0, 0, rho[k], k_row,
                                                          (4 - k_row) / 3))])
             for k_row, k in enumerate(pick)]
-    formatted = []
+    sizes = []
 
-    def e8_texts(values, _real=cli._e8_texts):
-        formatted.append(len(values))
+    def e8(values, _real=cli._e8):
+        sizes.append(len(values))
         return _real(values)
 
-    monkeypatch.setattr(cli, "_e8_texts", e8_texts)
+    monkeypatch.setattr(cli, "_e8", e8)
     assert b"".join(_csv_rows(store)).decode().split("\n") == [CSV_HEADER, *want, ""]
-    # one level of each pinned column, the four rho_rf levels the rows use, and
-    # whatever rate or harvest texts _e8 hands to Python
-    assert sum(formatted[:5]) == 4 + 4
-    assert sum(formatted) <= 4 + 4 + 2 * len(pick)
+    # one level of each pinned column, the four rho_rf levels the rows use, then
+    # the rows' rates and harvests: every text comes from _e8
+    assert sizes == [1, 1, 1, 1, 4, 5, 5]
 
 
 def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
@@ -362,14 +390,14 @@ def _points(draw, values=_ANY_FLOAT, max_size=40):
 @settings(max_examples=100, deadline=None)
 @given(_points())
 def test_store_round_trips_bit_for_bit(points):
-    store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
+    store = RateEnergyRegion(points, ProtocolId.D, 2).points
     assert len(store) == len(points)
     want = [_hex(p) for p in points]
     assert [_hex(p) for p in store] == want
     assert [_hex(store[i]) for i in range(-len(points), len(points))] == want * 2
     assert [_hex(p) for p in store[1::2]] == want[1::2]
     assert [tuple(v.hex() for v in row) for row in store.rows()] == want
-    assert store == RateEnergyRegion(list(store), (), ProtocolId.D, 2).points
+    assert store == RateEnergyRegion(list(store), ProtocolId.D, 2).points
     lines = (",".join(["d", *(format(v, ".8e") for v in (*p.controls, p.rate,
                                                           p.harvested_power))]) + "\n"
              for p in points)
@@ -396,7 +424,7 @@ def test_pareto_equals_brute_force_on_lists_and_columns(points):
     slow = brute_force_frontier(points)
     fast = pareto(points)
     assert len(fast) == len(slow) and all(a is b for a, b in zip(fast, slow))
-    columns = pareto(RateEnergyRegion(points, (), ProtocolId.D, 2).points)
+    columns = pareto(RateEnergyRegion(points, ProtocolId.D, 2).points)
     assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
 
 
@@ -414,7 +442,7 @@ def test_blocked_pareto_equals_brute_force(block, points, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(region_module, "_FRONTIER_BLOCK", size)
             fast = pareto(points)
-            columns = pareto(RateEnergyRegion(points, (), ProtocolId.D, 2).points)
+            columns = pareto(RateEnergyRegion(points, ProtocolId.D, 2).points)
         assert len(fast) == len(slow) and all(a is b for a, b in zip(fast, slow))
         assert [_hex(p) for p in columns] == [_hex(p) for p in slow]
 
@@ -454,10 +482,8 @@ def test_pareto_and_regions_refuse_non_finite_points():
     # The maxima filter needs a total order, which NaN breaks: given rate [3, 4, 1, 2] and
     # harvest [nan, 1, 5, 4], one block kept only point 1, and blocks of 2 kept 2, 3 and 1.
     refusals = (pareto,
-                lambda points: RateEnergyRegion(points=points, frontier=(),
-                                                protocol=ProtocolId.D, grid_points_per_axis=2),
-                lambda points: RateEnergyRegion(points=(), frontier=points,
-                                                protocol=ProtocolId.D, grid_points_per_axis=2))
+                lambda points: RateEnergyRegion(points=points, protocol=ProtocolId.RF_ONLY,
+                                                grid_points_per_axis=2))
     with pytest.raises(ValueError, match=r"^point 0 is not finite: rate 3\.0, harvested power nan$"):
         pareto([_point(3.0, np.nan), _point(4.0, 1.0), _point(1.0, 5.0), _point(2.0, 4.0)])
     cases = [([1.0, 2.0, np.nan], [1.0, np.inf, 1.0], 1)]  # the first, whichever its column
@@ -511,7 +537,7 @@ def test_swept_store_keeps_distinct_levels_and_small_indices(lux_gated_scenario,
 @settings(max_examples=100, deadline=None)
 @given(_points())
 def test_stored_list_keeps_distinct_levels(points):
-    store = RateEnergyRegion(points, (), ProtocolId.D, 2).points
+    store = RateEnergyRegion(points, ProtocolId.D, 2).points
     _assert_store_invariants(store)
     for k, levels in enumerate(store.levels):  # one level for each bit pattern used
         bits = {np.float64(p.controls[k]).view(np.int64).item() for p in points}
@@ -525,7 +551,7 @@ def _dominates_oracle(a, b):
 
 
 def _region(points):
-    return RateEnergyRegion(points, pareto(points), ProtocolId.D, 2)
+    return RateEnergyRegion(points, ProtocolId.D, 2)
 
 
 @settings(max_examples=300, deadline=None)
