@@ -118,7 +118,8 @@ def _csv_rows(store):
     Each block of _CSV_BLOCK rows is one uint8 matrix: the protocol, the five
     control level texts gathered by the store's index columns (each level is
     formatted once), the rate and harvest texts, the commas and the newline; every
-    text comes from _e8.  A block with a NUL-padded field is compacted.
+    text comes from _e8.  A block with a NUL-padded field is compacted.  Each block
+    is yielded as that array, bytes-like, not copied into bytes.
     """
     yield (CSV_HEADER + "\n").encode()
     if not len(store):
@@ -141,11 +142,11 @@ def _csv_rows(store):
         block[:, at] = ord("\n")
         if any(padded for _, padded in fields):
             block = block[block != 0]
-        yield block.tobytes()
+        yield block
 
 
 def _write_together(outputs):
-    """Write each (path, byte chunks) pair as one set of files.
+    """Write each (path, bytes-like chunks) pair as one set of files.
 
     cmd_region refuses a target that exists and is neither a regular file nor a
     link before it sweeps.  Every file is then written in full to a temporary file

@@ -201,12 +201,12 @@ class SweepBudgetError(ValueError):
 
 
 # Tuples an engine may build for one protocol at one go (tuples_built), grid 128 on
-# three axes.  A swept point keeps 16 bytes of rate and harvest and 5-8 of control
-# indices (44-50 MB at the bound), a band term of compare 16.  The CLI peaks at 81 MB
-# of RSS for region d --grid 128 or vl --grid 1448, and at 345 MB for rf --grid
-# 2097152, set by its sweep (306 MB traced: the rho_rf axis as Python floats, and a
-# frontier that is every point); the CSV writer's level texts, 16-byte rows formatted
-# a block at a time, add 36 MB above what the sweep keeps.
+# three axes.  A swept point keeps 16 bytes of rate and harvest and 3-4 of its free
+# controls' indices, none of its pinned ones' (40-42 MB at the bound), a band term of
+# compare 16.  The CLI peaks at 77 MB of RSS for region d --grid 128, 75 MB for vl
+# --grid 1448 and 336 MB for rf --grid 2097152, set by its sweep (297 MB traced: the
+# rho_rf axis as Python floats, a frontier that is every point); the CSV writer's level
+# texts, 16-byte rows formatted a block at a time, add 36 MB above what the sweep keeps.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
@@ -398,7 +398,8 @@ class _Grid:
 def _axes(protocol, grid_points_per_axis):
     """The protocol's five control axes: the grid's levels where swept, else the pin."""
     row = _TABLE[protocol]
-    levels = [float(v) for v in np.linspace(0.0, 1.0, grid_points_per_axis)]
+    # a tuple, which itertools.product takes as its pool without copying it
+    levels = tuple(np.linspace(0.0, 1.0, grid_points_per_axis).tolist())
     # A pinned axis is a one-level axis, so the product runs over the free
     # axes in the same order and yields full positional control tuples.
     return [levels if value is _SWEPT else (value,) for value in row.controls]

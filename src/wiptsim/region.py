@@ -3,6 +3,7 @@
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .protocols import (
 )
 
 _FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts at one go: bounds its temporaries
+# _pinned(n): a one-level control's index column, n read-only zeros over one shared byte
+_pinned = partial(np.ndarray, dtype=np.uint8, buffer=b"\0", strides=(0,))
 
 
 def _finite(rate, harvest):  # the columns, once no point is inf or NaN: the order is total
@@ -32,12 +35,12 @@ def _index_dtype(levels):
 
 
 class _Points:
-    """A protocol's operating points: float64 rate and harvested power columns,
-    and each control as an index column, in _index_dtype of its own level
-    count, into its float64 levels.  Levels are distinct by bits (-0.0 is not
-    0.0), so equal indices mean equal bits.  Only this module builds a store
-    (``of``, ``_Sink.store``); ``OperatingPoint``s are built only when used.
-    Every point of a store is of its protocol."""
+    """A protocol's operating points: float64 rate and harvested power columns, and
+    each control as an index column, in _index_dtype of its own level count, into
+    its float64 levels (_pinned, no byte a point, for one level).  Levels are distinct
+    by bits (-0.0 is not 0.0), so equal indices mean equal bits.  Only this module
+    builds a store (``of``, ``_Sink.store``); ``OperatingPoint``s are built only when
+    used.  Every point of a store is of its protocol."""
 
     __slots__ = ("protocol", "rate", "harvest", "levels", "index")
 
@@ -58,7 +61,8 @@ class _Points:
         rate, harvest, *controls = np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy()
         levels, index = zip(*(np.unique(c.view(np.int64), return_inverse=True) for c in controls))
         return cls(protocol, *_finite(rate, harvest), tuple(bits.view(np.float64) for bits in levels),
-                   tuple(i.astype(_index_dtype(len(bits))) for i, bits in zip(index, levels)))
+                   tuple(_pinned(len(i)) if len(bits) == 1 else i.astype(_index_dtype(len(bits)))
+                         for i, bits in zip(index, levels)))
 
     # rate, harvested power and the controls as seven float64 columns, built on demand
     columns = property(lambda self: (self.rate, self.harvest,
@@ -70,8 +74,10 @@ class _Points:
 
     def take(self, index):
         """A new store of the points at the given indices (or slice), in that order."""
-        return _Points(self.protocol, self.rate[index], self.harvest[index], self.levels,
-                       tuple(column[index] for column in self.index))
+        rate = self.rate[index]
+        return _Points(self.protocol, rate, self.harvest[index], self.levels,
+                       tuple(_pinned(len(rate)) if len(levels) == 1 else column[index]
+                             for levels, column in zip(self.levels, self.index)))
 
     def _point(self, row):
         rate, harvest, *controls = row
@@ -113,16 +119,17 @@ class _Sink:
         self.rejected.append(len(self.rate) + len(self.rejected))
 
     def store(self, protocol, axes):
-        """The swept points as a column store over the grid's axes."""
+        """The swept points as a column store over the grid's axes: a one-level axis
+        (a pinned control) gets a _pinned index column, built over no grid."""
         shape = tuple(map(len, axes))
-        index = [np.empty(shape, _index_dtype(n)) for n in shape]
-        for column, positions in zip(index, np.indices(shape, sparse=True)):
-            column[...] = positions  # each control's grid index, in its own width, in C order
-        if self.rejected:
-            index = [np.delete(column, self.rejected) for column in index]
+        index = [_pinned(len(self.rate))] * len(shape)
+        for k, positions in enumerate(np.indices(shape, sparse=True)):
+            if shape[k] > 1:
+                column = np.empty(shape, _index_dtype(shape[k]))
+                column[...] = positions  # each control's grid index, in its own width, in C order
+                index[k] = np.delete(column, self.rejected) if self.rejected else column.reshape(-1)
         return _Points(protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
-                       tuple(np.array(axis, dtype=np.float64) for axis in axes),
-                       tuple(column.reshape(-1) for column in index))
+                       tuple(np.array(axis, dtype=np.float64) for axis in axes), tuple(index))
 
 
 class DegenerateRegionError(RuntimeError):

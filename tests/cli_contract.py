@@ -168,26 +168,27 @@ FAST = {
                                                "(rate, harvested power) = (inf, ") + r".*\n"),
 }
 SLOW = {
-    # d's 1,030,301 points keep their controls as one-byte index columns (120 MB as float64)
+    # d's 1,030,301 points keep their free controls as one-byte index columns and their
+    # pinned ones as zero-stride views, which hold none (120 MB as float64)
     "region-d-grid-101": _region(DEFAULT, "d", 101, 1030301,
                                  "6ded5faba8abf53728e7bf31c6fc297e4446f1c43bfe3f437ae545b7e9e7a75d",
-                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 72),
+                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 69),
     # c keeps the grid positions it rejects in a typed array (128 MB as a list of ints)
     "lux-region-c-grid-128": _region(LUX, "c", 128, 892160,
                                      "ffc23ced6fd96a65a92f15e15fafd323cb9ef4d7698938224fac8ec95d33d6ec",
-                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 90),
-    # 2,096,704 points: each free axis has 1,448 levels, each formatted once by _e8 (80.9 MB peak)
+                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 79),
+    # 2,096,704 points: each free axis has 1,448 levels, each formatted once by _e8 (74.9 MB peak)
     "region-vl-grid-1448": _region(DEFAULT, "vl", 1448, 2096704,
                                    "0cc15f78e073222f1edc13274b4343ce59d4711fda3610d7c332fa5ee6b9ae9f",
-                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 98),
+                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 90),
     # each file's rho_rf level texts are formatted a block at a time; the sweep sets the peak
     "region-rf-grid-2097152": _region(DEFAULT, "rf", 2097152, 2097152,
                                       "2648d9173eb3a7bcb3a5be9a6ee075011b41aaf257e339600037f63edb561098",
-                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 415),
+                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 403),
     "compare-grid-1001": Row(DEFAULT, [*COMPARE, "--grid", "1001"], 0, _table(10), digests={
         "stdout": "fabdc0bb745d1637b21b4efe991062ee043a38dc8e8ff8de0d1fcc9d558da288"}),
     # the largest grid compare admits: c's and d's counts take ten digits, and vl's and
-    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (165 MB peak)
+    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (165.3 MB peak)
     "compare-grid-1448": Row(DEFAULT, [*COMPARE, "--grid", "1448"], 0, re.escape(
         "protocol      points    max_rate_bps    max_energy_w    dom_rf    dom_vl  dom_nirl\n"
         "rf              1448    3.175496e+08    1.752868e-03         -         -         -\n"
@@ -197,7 +198,7 @@ SLOW = {
         "b            2096704    2.128100e+09    1.058657e-02       yes       yes        no\n"
         "c         3036027392    1.688812e+09    1.058657e-02       yes       yes        no\n"
         "d         3036027392    3.280458e+09    1.024192e-02       yes       yes       yes\n"),
-        rss_mb=200),
+        rss_mb=199),
 }
 
 

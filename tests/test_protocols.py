@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -345,6 +346,22 @@ def test_enumerate_is_lazy_and_sized():
     small = enumerate_controls(ProtocolId.C, 3)
     assert list(small) == list(small)  # iterable more than once
     assert len(list(small)) == len(small) == 27
+
+
+def test_iterating_a_grid_copies_no_axis():
+    # itertools.product takes a tuple axis as its pool; a list axis it copies, 8 bytes
+    # a level, each time the grid is iterated
+    levels = 1 << 16
+    grid = enumerate_controls(ProtocolId.RF_ONLY, levels)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tuples = iter(grid)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert next(tuples).rho_rf == 0.0
+    assert held / levels < 1
 
 
 def test_memos_hold_every_band_term_a_sweep_reuses():

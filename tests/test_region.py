@@ -318,7 +318,7 @@ def test_csv_blocks_of_mixed_widths(monkeypatch):
     points = [OperatingPoint(rate, harvest, ProtocolControls(a, 0.25, b, 0.75, a), ProtocolId.D)
               for rate, harvest, a, b in rows]
     store = RateEnergyRegion(points, ProtocolId.D, 2).points
-    blocks = [block.decode() for block in _csv_rows(store)]
+    blocks = [bytes(block).decode() for block in _csv_rows(store)]
     assert len(blocks) == 3
     for block, chunk in zip(blocks[1:], (points[:4], points[4:])):
         want = [",".join(["d", *(format(v, ".8e") for v in (*p.controls, p.rate,
@@ -357,7 +357,7 @@ def test_csv_rows_format_only_the_levels_a_small_store_uses(monkeypatch):
 def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
     monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
     points = sweep(scenario, ProtocolId.C, 4).points
-    blocks = list(_csv_rows(points))
+    blocks = [bytes(block) for block in _csv_rows(points)]
     assert all(block.endswith(b"\n") for block in blocks)
     assert [block.count(b"\n") for block in blocks] == [1] + [7] * 9 + [1]  # 64 rows
     monkeypatch.undo()
@@ -512,9 +512,10 @@ def _assert_store_invariants(store):
 
 
 def _index_bytes_held(store):
-    """Bytes of the arrays that own the store's index columns' memory."""
+    """Bytes of the buffers that own the store's index columns' memory (a pinned
+    column's is one byte, which every pinned column shares)."""
     owners = {id(a): a for a in (i if i.base is None else i.base for i in store.index)}
-    return sum(a.nbytes for a in owners.values())
+    return sum(memoryview(a).nbytes for a in owners.values())
 
 
 @pytest.mark.parametrize("protocol,grid,free_dtype", [
@@ -530,8 +531,39 @@ def test_swept_store_keeps_distinct_levels_and_small_indices(lux_gated_scenario,
     for store in (region.points, region.frontier):
         _assert_store_invariants(store)
         assert [index.dtype for index in store.index] == want
-        # no index column keeps a wider matrix alive
-        assert _index_bytes_held(store) == sum(index.nbytes for index in store.index)
+        # no index column keeps a wider matrix alive, and the pinned ones share one byte
+        own = [index for index in store.index if index.strides != (0,)]
+        assert len(own) == len(free)
+        assert _index_bytes_held(store) == sum(index.nbytes for index in own) + (len(free) < 5)
+
+
+def _assert_one_level_columns_are_pinned(store):
+    """Each index column of a one-level control is a read-only zero-stride view."""
+    for levels, index in zip(store.levels, store.index):
+        if len(levels) == 1:
+            assert index.strides == (0,) and not index.flags.writeable
+            assert len(index) == len(store) and index.tolist() == [0] * len(store)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_one_level_controls_hold_no_byte_a_point(scenario, lux_gated_scenario, protocol):
+    for s in (scenario, lux_gated_scenario) if protocol is ProtocolId.C else (scenario,):
+        region = sweep(s, protocol, 9)
+        free = protocols.free_controls(protocol)
+        assert [len(levels) == 1 for levels in region.points.levels] == [
+            name not in free for name in protocols._CONTROL_NAMES]
+        points = region.points
+        for store in (points, region.frontier, points.take(slice(1, None, 3)),
+                      points.take(np.array([len(points) - 1, 0, 0, 2]))):
+            _assert_one_level_columns_are_pinned(store)
+    # a stored list: tau_nirl and alpha_vl take one value each, the other controls two
+    points = [OperatingPoint(rate, harvest, ProtocolControls(a, 0.25, 0.5, a, 1.0 - a),
+                             ProtocolId.D)
+              for rate, harvest, a in ((0.0, 0.0, 0.0), (0.5, 1.0, 1.0), (1.0, 0.5, 0.0))]
+    region = RateEnergyRegion(points, ProtocolId.D, 2)
+    assert [len(levels) for levels in region.points.levels] == [2, 1, 1, 2, 2]
+    for store in (region.points, region.frontier, region.points.take([2, 2, 0, 1, 1])):
+        _assert_one_level_columns_are_pinned(store)
 
 
 @settings(max_examples=100, deadline=None)
@@ -565,9 +597,10 @@ def test_dominates_equals_pairwise_oracle(a_points, b_points, nested):
 
 
 def test_sweep_memory_per_point(scenario):
-    # The columns take 21 bytes a point (16 of rate and harvest, 5 of uint8
-    # indices); with the Pareto filter's blocks the traced peak is about 45 at
-    # this grid (29 at grid 61).  Point objects kept alive cost ~290.
+    # The columns take 19 bytes a point (16 of rate and harvest, 3 of uint8
+    # indices: d's two pinned controls' index columns hold none); with the Pareto
+    # filter's blocks the traced peak is about 64 at this grid (29 at grid 61).
+    # Point objects kept alive cost ~290.
     sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
     tracemalloc.start()
     try:
@@ -581,9 +614,9 @@ def test_sweep_memory_per_point(scenario):
 
 
 def test_sweep_keeps_controls_as_index_columns(scenario):
-    # 16 bytes of rate and harvest and 5 of uint8 indices a point, plus the
-    # Pareto filter's blocks: about 29 bytes a point traced.  Float64 control
-    # columns would add 35 more.
+    # 16 bytes of rate and harvest and 3 of uint8 indices a point (none for d's
+    # two pinned controls), plus the Pareto filter's blocks: about 29 bytes a
+    # point traced.  Float64 control columns would add 37 more.
     sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
     tracemalloc.start()
     try:
@@ -597,10 +630,10 @@ def test_sweep_keeps_controls_as_index_columns(scenario):
 
 
 def test_rejecting_sweep_keeps_positions_in_a_typed_array(lux_gated_scenario):
-    # c rejects 58% of its tuples here: 16 bytes of rate and harvest and 5 of
-    # uint8 indices a kept point, 8 bytes a rejected position, and the index
-    # columns np.delete filters: about 20 bytes a tuple traced.  Rejected
-    # positions kept as a list of Python ints read 46.8.
+    # c rejects 58% of its tuples here: 16 bytes of rate and harvest and 3 of
+    # uint8 indices a kept point (none for c's two pinned controls), 8 bytes a
+    # rejected position, and the index columns np.delete filters: about 26 bytes
+    # a tuple traced.  Rejected positions kept as a list of Python ints read 46.8.
     sweep(lux_gated_scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
     tracemalloc.start()
     try:
