@@ -11,7 +11,9 @@ harvest, or their sum over the bands overflow or come out inf or NaN;
 protocol's engine may build more than 2**21 tuples at one go; see
 protocols.tuples_built), or an --out that names no file ("", ".", "sub/..",
 "res/" or "res/."), each refused before any sweep; 3 degenerate region; 4 safety
-verdict failed; 5 the region's CSV pair could not be written.
+verdict failed; 5 the region's CSV pair could not be written.  region opens both
+files, making --out's directories, before it evaluates a tuple, so an --out whose
+directory cannot be made exits 5 before any sweep.
 Of several bad keys, the error names the first in scenario.py's order:
 each sub-model's keys, then the others in file order, each check across
 keys after the keys it reads.  A file may begin with a byte-order mark."""
@@ -21,7 +23,7 @@ import errno
 import os
 import sys
 import uuid
-from contextlib import suppress
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +115,25 @@ def _level_texts(levels, index):
 
 
 def _csv_rows(store):
-    """The CSV bytes of a region's column store in blocks of whole lines, header first.
+    """The CSV bytes of a region's column store in blocks of whole lines, header
+    first; each control's levels are formatted once (_level_texts)."""
+    yield (CSV_HEADER + "\n").encode()
+    yield from _csv_lines(store, map(_level_texts, store.levels, store.index))
+
+
+def _csv_lines(store, levels):
+    """A store's CSV lines in blocks, given each control's level texts, whether any
+    is NUL-padded, and its index into them.
 
     Each block of _CSV_BLOCK rows is one uint8 matrix: the protocol, the five
-    control level texts gathered by the store's index columns (each level is
-    formatted once), the rate and harvest texts, the commas and the newline; every
-    text comes from _e8.  A block with a NUL-padded field is compacted.  Each block
-    is yielded as that array, bytes-like, not copied into bytes.
+    control level texts gathered by the index columns, the rate and harvest
+    texts, the commas and the newline; every text comes from _e8.  A block with a
+    NUL-padded field is compacted.  Each block is yielded as that array,
+    bytes-like, not copied into bytes.
     """
-    yield (CSV_HEADER + "\n").encode()
     if not len(store):
         return
-    levels = list(map(_level_texts, store.levels, store.index))
+    levels = list(levels)
     protocol = store.protocol.value.encode()
     for start in range(0, len(store), _CSV_BLOCK):
         part = slice(start, start + _CSV_BLOCK)
@@ -145,31 +154,32 @@ def _csv_rows(store):
         yield block
 
 
-def _write_together(outputs):
-    """Write each (path, bytes-like chunks) pair as one set of files.
+@contextmanager
+def _write_together(*paths):
+    """A temporary file beside each path, open for the body to write, each renamed
+    over its path once the body is done and every file is closed: one set of files.
 
     cmd_region refuses a target that exists and is neither a regular file nor a
-    link before it sweeps.  Every file is then written in full to a temporary file
-    beside its target; only then is each renamed over its target.  If writing any
-    of them fails, every temporary file and every directory this call made is
-    removed, and the old targets stay as they were.  A rename can still fail where
-    no check foresees it (over another user's file in a sticky directory, or over a
+    link, then opens the files, then sweeps.  If the body, a write or a close
+    fails, every temporary file and every directory this call made is removed,
+    and the old targets stay as they were.  A rename can still fail where no check
+    foresees it (over another user's file in a sticky directory, or over a
     directory made since), and then the targets renamed before it are new.
-    Chunks are formatted as they are written, so the whole text is never built.
     """
-    moves = []
+    moves, handles = [], []
     made = []  # directories this call created, deepest first
     try:
-        for path, chunks in outputs:
-            target = Path(path)
-            made[:0] = [d for d in (target.parent, *target.parent.parents) if not d.exists()]
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
-            # open() creates the file with mode 0o666 less the umask, as a
-            # direct write would; mkstemp would force 0o600.
-            with open(tmp, "xb") as handle:
+        with ExitStack() as files:
+            for path in paths:
+                target = Path(path)
+                made[:0] = [d for d in (target.parent, *target.parent.parents) if not d.exists()]
+                target.parent.mkdir(parents=True, exist_ok=True)
+                tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+                # open() creates the file with mode 0o666 less the umask, as a
+                # direct write would; mkstemp would force 0o600.
+                handles.append(files.enter_context(open(tmp, "xb")))
                 moves.append((tmp, target))
-                handle.writelines(chunks)  # streams through the file's buffer
+            yield handles
         for tmp, target in moves:
             os.replace(tmp, target)
     except BaseException:
@@ -192,15 +202,24 @@ def cmd_region(scenario, protocol, grid, out_path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             if os.path.exists(path) and not (os.path.isfile(path) or os.path.islink(path)):
                 raise OSError(errno.EINVAL, "Not a regular file", str(path))
-        region = sweep(scenario, protocol, grid)
-        _write_together([(out_path, _csv_rows(region.points)),
-                         (frontier_path, _csv_rows(region.frontier))])
+        with _write_together(out_path, frontier_path) as (points_file, frontier_file):
+            points_file.write((CSV_HEADER + "\n").encode())
+            texts, rows = [], []
+
+            def write(store):
+                if not texts:  # each control's levels go through _e8 once, at the first block
+                    texts.extend(map(_e8, store.levels))
+                points_file.writelines(_csv_lines(store, ((*t, i) for t, i in zip(texts, store.index))))
+                rows.append(len(store))
+
+            frontier = sweep(scenario, protocol, grid, write).frontier
+            frontier_file.writelines(_csv_rows(frontier))
     except OSError as exc:
         print(f"error: cannot write '{out_path}' and '{frontier_path}': {exc}",
               file=sys.stderr)
         return 5
-    print(f"{len(region.points)} points -> {out_path}")
-    print(f"{len(region.frontier)} frontier points -> {frontier_path}")
+    print(f"{sum(rows)} points -> {out_path}")
+    print(f"{len(frontier)} frontier points -> {frontier_path}")
     return 0
 
 

@@ -201,12 +201,13 @@ class SweepBudgetError(ValueError):
 
 
 # Tuples an engine may build for one protocol at one go (tuples_built), grid 128 on
-# three axes.  A swept point keeps 16 bytes of rate and harvest and 3-4 of its free
-# controls' indices, none of its pinned ones' (40-42 MB at the bound), a band term of
-# compare 16.  The CLI peaks at 77 MB of RSS for region d --grid 128, 75 MB for vl
-# --grid 1448 and 336 MB for rf --grid 2097152, set by its sweep (297 MB traced: the
-# rho_rf axis as Python floats, a frontier that is every point); the CSV writer's level
-# texts, 16-byte rows formatted a block at a time, add 36 MB above what the sweep keeps.
+# three axes.  The in-memory sweep keeps 16 bytes of rate and harvest a point and 3-4
+# of its free controls' indices, none of its pinned ones' (40-42 MB at the bound), a
+# band term of compare 16.  region streams its sweep, so it peaks at start-up plus one
+# block of region._FRONTIER_BLOCK tuples plus the frontier: 40.4 MB of RSS for region d
+# --grid 128 and 34.7 MB for vl --grid 1448.  rf --grid 2097152 peaks at 305.5 MB: its
+# frontier is every point, and while it sweeps, its rho_rf axis is 64 MB of Python
+# floats and its first block formats all 2,097,152 level texts at once.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep

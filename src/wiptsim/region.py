@@ -1,9 +1,11 @@
 """Rate-energy regions: exhaustive sweeps, Pareto frontiers, dominance."""
 
+import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .protocols import (
     evaluate,
 )
 
-_FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts at one go: bounds its temporaries
+_FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts, tuples a streamed sweep holds, at one go
 # _pinned(n): a one-level control's index column, n read-only zeros over one shared byte
 _pinned = partial(np.ndarray, dtype=np.uint8, buffer=b"\0", strides=(0,))
 
@@ -104,11 +106,15 @@ class _Points:
 
 class _Sink:
     """A sweep's rates and harvested powers (two floats a tuple) and rejected grid
-    positions (eight bytes each); the index columns come from the axes at the end."""
+    positions (eight bytes each); index columns come from grid positions (``index``)."""
 
-    __slots__ = ("rate", "harvest", "rejected")
+    __slots__ = ("protocol", "levels", "strides", "write", "start", "frontier",
+                 "rate", "harvest", "rejected")
 
-    def __init__(self):
+    def __init__(self, protocol, axes, write):
+        self.protocol, self.write, self.start, self.frontier = protocol, write, 0, _Frontier()
+        self.levels = tuple(np.array(axis, dtype=np.float64) for axis in axes)  # shared by each store
+        self.strides = [math.prod(map(len, axes[k + 1:])) for k in range(len(axes))]
         self.rate, self.harvest, self.rejected = array("d"), array("d"), array("q")
 
     def append(self, point):
@@ -116,20 +122,54 @@ class _Sink:
         self.harvest.append(point[1])
 
     def reject(self):
-        self.rejected.append(len(self.rate) + len(self.rejected))
+        self.rejected.append(self.start + len(self.rate) + len(self.rejected))
 
-    def store(self, protocol, axes):
-        """The swept points as a column store over the grid's axes: a one-level axis
-        (a pinned control) gets a _pinned index column, built over no grid."""
-        shape = tuple(map(len, axes))
-        index = [_pinned(len(self.rate))] * len(shape)
-        for k, positions in enumerate(np.indices(shape, sparse=True)):
-            if shape[k] > 1:
-                column = np.empty(shape, _index_dtype(shape[k]))
-                column[...] = positions  # each control's grid index, in its own width, in C order
-                index[k] = np.delete(column, self.rejected) if self.rejected else column.reshape(-1)
-        return _Points(protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
-                       tuple(np.array(axis, dtype=np.float64) for axis in axes), tuple(index))
+    def blocks(self, grid):
+        """The grid's tuples a block at a time; once a block's last is in, its points go
+        to write as one store, only their frontier is kept, and the buffers start anew."""
+        tuples = iter(grid)
+        for self.start in range(0, len(grid), _FRONTIER_BLOCK):  # the block's first position
+            yield islice(tuples, _FRONTIER_BLOCK)
+            positions = self.positions(self.start, self.start + len(self.rate) + len(self.rejected))
+            store = _Points(self.protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
+                            self.levels, self.index(positions))
+            self.rate, self.harvest, self.rejected = array("d"), array("d"), array("q")
+            self.write(store)
+            self.frontier.push(positions, store.rate, store.harvest)
+            del store  # and with it the block's buffers
+
+    def positions(self, start, stop):
+        """Grid positions start to stop, less the rejected ones."""
+        if not self.rejected:
+            return np.arange(start, stop)
+        rejected = np.frombuffer(self.rejected, np.int64)
+        return np.delete(np.arange(start, stop),
+                         rejected[slice(*rejected.searchsorted((start, stop)))] - start)
+
+    def index(self, positions):
+        """Each control's index column at these grid positions: (position // stride) %
+        levels, in the axis's own _index_dtype; _pinned for a one-level axis."""
+        return tuple(_pinned(len(positions)) if len(levels) == 1 else
+                     (positions // stride % len(levels)).astype(_index_dtype(len(levels)))
+                     for levels, stride in zip(self.levels, self.strides))
+
+    def store(self):
+        """The swept points as one store; with write, the blocks' frontier candidates."""
+        if self.write is not None:
+            positions, rate, harvest = self.frontier.columns()
+            return _Points(self.protocol, rate, harvest, self.levels, self.index(positions))
+        count, stop = len(self.rate), len(self.rate) + len(self.rejected)
+        index = tuple(_pinned(count) if len(levels) == 1 else
+                      np.empty(count, _index_dtype(len(levels))) for levels in self.levels)
+        at = 0  # the columns are filled a block of grid positions at a time
+        for start in range(0, stop, _FRONTIER_BLOCK):
+            positions = self.positions(start, min(start + _FRONTIER_BLOCK, stop))
+            for column, part in zip(index, self.index(positions)):
+                if column.flags.writeable:  # a _pinned column holds nothing to fill
+                    column[at:at + len(part)] = part
+            at += len(positions)
+        return _Points(self.protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
+                       self.levels, index)
 
 
 class DegenerateRegionError(RuntimeError):
@@ -156,20 +196,27 @@ class RateEnergyRegion:
         object.__setattr__(self, "frontier", pareto(points))
 
 
-def sweep(scenario, protocol, grid_points_per_axis):
-    """Evaluate the full control grid; infeasible tuples are skipped."""
+def sweep(scenario, protocol, grid_points_per_axis, write=None):
+    """Evaluate the full control grid; infeasible tuples are skipped.
+
+    Given ``write``, each block of _FRONTIER_BLOCK grid tuples goes to it, in grid
+    order, as a column store of the block's points over the sweep's shared levels,
+    and only the block's frontier is kept: the region's frontier is the full
+    sweep's, bit for bit, and its points are just those frontier candidates.
+    """
     grid = enumerate_controls(protocol, grid_points_per_axis)
-    points = _Sink()
-    for controls in grid:
+    points = _Sink(protocol, grid.axes, write)
+    for controls in grid if write is None else chain.from_iterable(points.blocks(grid)):
         try:
             points.append(evaluate(scenario, protocol, controls))
         except InfeasibleControlsError:
             points.reject()
-    if not points.rate:
+    store = points.store()
+    if not len(store):
         raise DegenerateRegionError(
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
-    return RateEnergyRegion(points.store(protocol, grid.axes), protocol, grid_points_per_axis)
+    return RateEnergyRegion(store, protocol, grid_points_per_axis)
 
 
 def _sorted_frontier(rate, harvest):
@@ -192,24 +239,50 @@ def _sorted_frontier(rate, harvest):
     return order[sorted_harvest > best_before][::-1]
 
 
+def _pruned(columns):  # the frontier of (positions, rate, harvest), by ascending rate
+    index = _sorted_frontier(*columns[1:])
+    return [column[index] for column in columns]
+
+
+class _Frontier(list):
+    """The frontier of (positions, rate, harvest) blocks pushed in order, as parts that
+    merge while the last two cover as many blocks (a binary counter): the frontier of
+    their frontiers (Kung, Luccio & Preparata, J. ACM 22(4), 1975).  Parts stay in
+    block order and hold no two equal points, so the first of equal points is kept."""
+
+    def push(self, *block):
+        self.append([1, *_pruned(block)])
+        while len(self) > 1 and self[-2][0] == self[-1][0]:
+            self._merge()
+
+    def _merge(self):  # the last two parts as one
+        (n, *a), (m, *b) = self[-2:]
+        del self[-2:]
+        for x, y in ((a, b), (b, a)):  # two staircases apart, the slower first, are one
+            if len(x[1]) and len(y[1]) and x[1][-1] < y[1][0] and x[2][-1] > y[2][0]:
+                return self.append([n + m, *map(np.concatenate, zip(x, y))])
+        both = list(map(np.concatenate, zip(a, b)))
+        del a, b
+        self.append([n + m, *_pruned(both)])
+
+    def columns(self):
+        """The frontier's positions, rates and harvests, by ascending rate."""
+        while len(self) > 1:
+            self._merge()
+        return self.pop()[1:]
+
+
 def _frontier(blocks):
-    """_sorted_frontier of (first row, rate, harvest) blocks laid end to end: the
-    frontier of the blocks' frontiers (Kung, Luccio & Preparata, J. ACM 22(4),
-    1975).  Those hold no two equal points and stay in block order, so the
-    first of equal points is still the one kept."""
-    kept, survivors = [], []
-    for start, *block in blocks:
-        index = _sorted_frontier(*block)
-        kept.append(start + index)
-        survivors.append([column[index] for column in block])
-    if len(kept) == 1:  # one block's frontier is the whole frontier
-        return kept[0]
-    return np.concatenate(kept)[_sorted_frontier(*np.concatenate(survivors, axis=1))]
+    """Positions of the frontier of (positions, rate, harvest) blocks, by ascending rate."""
+    frontier = _Frontier()
+    for block in blocks:
+        frontier.push(*block)
+    return frontier.columns()[0]
 
 
 def _blocks(rate, harvest):  # at least one, so an empty input has an empty frontier
-    return ((k, rate[k:k + _FRONTIER_BLOCK], harvest[k:k + _FRONTIER_BLOCK])
-            for k in range(0, len(rate) or 1, _FRONTIER_BLOCK))
+    return ((np.arange(k, min(k + _FRONTIER_BLOCK, len(rate))), rate[k:k + _FRONTIER_BLOCK],
+             harvest[k:k + _FRONTIER_BLOCK]) for k in range(0, len(rate) or 1, _FRONTIER_BLOCK))
 
 
 def pareto(points):
@@ -221,7 +294,10 @@ def pareto(points):
     its own point objects, and ValueError at its first inf or NaN rate or harvest.
     """
     if isinstance(points, _Points):
-        return points.take(_frontier(_blocks(points.rate, points.harvest)))
+        rate, harvest = points.rate, points.harvest
+        if (rate[1:] > rate[:-1]).all() and (harvest[1:] < harvest[:-1]).all():
+            return points.take(slice(None))  # a staircase, as a streamed sweep keeps, is its own
+        return points.take(_frontier(_blocks(rate, harvest)))
     points = list(points)
     rate = np.fromiter((p.rate for p in points), np.float64, len(points))
     harvest = np.fromiter((p.harvested_power for p in points), np.float64, len(points))
@@ -287,7 +363,8 @@ def _band_merge(scenario, protocol, grid_points_per_axis):
     count = int(feasible.sum()) * len(rf)
     lightwave, rf = (terms[_frontier(_blocks(*terms.T))] for terms in (lightwave[feasible], rf))
     rows = max(1, _FRONTIER_BLOCK // len(rf))
-    kept = _frontier((k * len(rf), *(lightwave[k:k + rows, None] + rf).reshape(-1, 2).T)
+    kept = _frontier((np.arange(k * len(rf), min(k + rows, len(lightwave)) * len(rf)),
+                      *(lightwave[k:k + rows, None] + rf).reshape(-1, 2).T)
                      for k in range(0, len(lightwave), rows))
     frontier = lightwave[kept // len(rf)] + rf[kept % len(rf)]  # the kept sums, rebuilt
     return count, _FrontierOnly(_Points(protocol, *frontier.T))

@@ -168,23 +168,30 @@ FAST = {
                                                "(rate, harvested power) = (inf, ") + r".*\n"),
 }
 SLOW = {
-    # d's 1,030,301 points keep their free controls as one-byte index columns and their
-    # pinned ones as zero-stride views, which hold none (120 MB as float64)
+    # region streams d's 1,030,301 points to the file a block of 65,536 grid tuples at a
+    # time and keeps only each block's frontier (40.3 MB peak; 56.7 MB holding them all)
     "region-d-grid-101": _region(DEFAULT, "d", 101, 1030301,
                                  "6ded5faba8abf53728e7bf31c6fc297e4446f1c43bfe3f437ae545b7e9e7a75d",
-                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 69),
+                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 49),
+    # 2,097,152 points, the sweep budget on three axes: the grid's rates, harvests and
+    # index columns (40 MB) are never held at once (40.4 MB peak; 76.8 MB holding them)
+    "region-d-grid-128": _region(DEFAULT, "d", 128, 2097152,
+                                 "d4754a03d77adf07ab30771c0886e5e9fd61e00103abf26ef21100ed29677e1f",
+                                 "ad4172da84fa18634a774b719ad5e83b5230066f4fc63fa761375850013fd666", 49),
     # c keeps the grid positions it rejects in a typed array (128 MB as a list of ints)
     "lux-region-c-grid-128": _region(LUX, "c", 128, 892160,
                                      "ffc23ced6fd96a65a92f15e15fafd323cb9ef4d7698938224fac8ec95d33d6ec",
-                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 79),
-    # 2,096,704 points: each free axis has 1,448 levels, each formatted once by _e8 (74.9 MB peak)
+                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 48),
+    # 2,096,704 points: each free axis has 1,448 levels, each formatted once a file by _e8
+    # (34.7 MB peak; 74.9 MB holding every point)
     "region-vl-grid-1448": _region(DEFAULT, "vl", 1448, 2096704,
                                    "0cc15f78e073222f1edc13274b4343ce59d4711fda3610d7c332fa5ee6b9ae9f",
-                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 90),
-    # each file's rho_rf level texts are formatted a block at a time; the sweep sets the peak
+                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 43),
+    # a frontier that is every point; the peak (305.5 MB) comes while the sweep holds the
+    # rho_rf axis as Python floats and its first block formats every level text
     "region-rf-grid-2097152": _region(DEFAULT, "rf", 2097152, 2097152,
                                       "2648d9173eb3a7bcb3a5be9a6ee075011b41aaf257e339600037f63edb561098",
-                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 403),
+                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 367),
     "compare-grid-1001": Row(DEFAULT, [*COMPARE, "--grid", "1001"], 0, _table(10), digests={
         "stdout": "fabdc0bb745d1637b21b4efe991062ee043a38dc8e8ff8de0d1fcc9d558da288"}),
     # the largest grid compare admits: c's and d's counts take ten digits, and vl's and

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from wiptsim import (ProtocolControls, ProtocolId, ScenarioParseError, ScenarioValidationError, cli,
                      default_scenario, evaluate, protocols, sweep)
+from wiptsim import region as region_module
 from wiptsim.cli import CSV_HEADER, main
 from wiptsim.protocols import _TABLE
 from wiptsim.scenario import _flat, _format_value, parse_scenario
@@ -110,6 +112,46 @@ def test_region_files_honour_umask(default_file, tmp_path):
         assert path.stat().st_mode & 0o777 == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml", "rf.csv",
                                                           "rf.frontier.csv"]
+
+
+@pytest.mark.parametrize("grid", [3, 5, 9])  # the lux-gated c rejects every tuple at grid 2
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_streamed_files_are_the_in_memory_regions_csv(scenario, lux_gated_scenario, tmp_path,
+                                                      monkeypatch, capsys, protocol, grid):
+    # sweep blocks of one tuple, of two, of seven (edges inside a grid row) and one
+    # block for the grid, with CSV blocks of three rows inside them
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+    for s in (scenario, lux_gated_scenario) if protocol is ProtocolId.C else (scenario,):
+        region = sweep(s, protocol, grid)
+        want = [b"".join(map(bytes, cli._csv_rows(store)))
+                for store in (region.points, region.frontier)]
+        for block in (1, 2, 7, 1 << 62):
+            monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", block)
+            out = tmp_path / f"{block}.csv"
+            assert cli.cmd_region(s, protocol, grid, str(out)) == 0
+            assert [out.read_bytes(), (tmp_path / f"{block}.frontier.csv").read_bytes()] == want
+            assert capsys.readouterr().out == (
+                f"{len(region.points)} points -> {out}\n"
+                f"{len(region.frontier)} frontier points -> {tmp_path / f'{block}.frontier.csv'}\n")
+
+
+def test_region_memory_follows_the_frontier_not_the_grid(scenario, tmp_path, monkeypatch):
+    # Blocks of 4,096 tuples: d at grid 41 sweeps 7.4 times grid 21's 9,261 tuples,
+    # and its traced peak (a block's columns, a CSV block, the frontier, about 1.0 MB
+    # at both grids) stays within 128 KiB of grid 21's.  Holding every point, as an
+    # in-memory sweep does, adds about 17 bytes a tuple: 1.2 MB more at grid 41.
+    monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", 4096)
+    sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
+    peaks = {}
+    for grid in (21, 41):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.cmd_region(scenario, ProtocolId.D, grid, str(tmp_path / "d.csv")) == 0
+            peaks[grid] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peaks[41] < peaks[21] + (128 << 10), peaks
 
 
 def test_region_runs_are_byte_identical(default_file, tmp_path):
@@ -306,20 +348,21 @@ def test_region_pair_kept_when_frontier_write_fails(default_file, tmp_path, monk
     frontier = tmp_path / "b.frontier.csv"
     assert main(["region", default_file, "b", "--grid", "3", "--out", str(out)]) == 0
     before = out.read_bytes(), frontier.read_bytes()
-    real_rows = cli._csv_rows
+    real_lines = cli._csv_lines
     calls = []
 
-    def failing_rows(store):
+    def failing_lines(store, levels):
         calls.append(store)
-        rows = real_rows(store)
-        if len(calls) == 2:  # the frontier file
-            yield next(rows)
+        lines = real_lines(store, levels)
+        if len(calls) == 2:  # the frontier file, once the points file's one block is in
+            yield next(lines)
             raise OSError("disk full")
-        yield from rows
+        yield from lines
 
-    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    monkeypatch.setattr(cli, "_csv_lines", failing_lines)
     assert main(["region", default_file, "b", "--grid", "5", "--out", str(out)]) == 5
     assert "disk full" in capsys.readouterr().err
+    assert [len(store) for store in calls] == [25, 25]
     assert (out.read_bytes(), frontier.read_bytes()) == before
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -385,16 +428,60 @@ def test_region_replaces_a_link_not_the_fifo_it_names(default_file, tmp_path, mo
 
 def test_failed_write_removes_the_directories_it_made(default_file, tmp_path, monkeypatch,
                                                      capsys):
-    def failing_rows(store):
-        yield (CSV_HEADER + "\n").encode()
+    def failing_lines(store, levels):  # the points file's first block
         raise OSError("disk full")
+        yield
 
-    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    monkeypatch.setattr(cli, "_csv_lines", failing_lines)
     out = tmp_path / "new" / "deeper" / "rf.csv"
     assert main(["region", default_file, "rf", "--grid", "3", "--out", str(out)]) == 5
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write") and "disk full" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml"]
+
+
+@pytest.mark.parametrize("raising", [None, 7])
+def test_a_sweep_that_raises_after_a_written_block_leaves_nothing(tmp_path, monkeypatch, capsys,
+                                                                  raising):
+    # blocks of 7 tuples: a glaring c rejects all 27, and only then is its region
+    # degenerate (exit 3); an evaluate raising at the second block's first tuple,
+    # after the first block's rows went out, exits 1
+    monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", 7)
+    text = "" if raising else "luminous_efficacy = 5000.0\n"
+    (tmp_path / "s.toml").write_text(text)
+    written, real = [], cli._csv_lines
+
+    def recording_lines(store, levels):
+        written.append(len(store))
+        return real(store, levels)
+
+    def raising_evaluate(scenario, protocol, controls, _count=itertools.count()):
+        if next(_count) == raising:
+            raise ScenarioValidationError("the summed band terms are non-finite")
+        return evaluate(scenario, protocol, controls)
+
+    monkeypatch.setattr(cli, "_csv_lines", recording_lines)
+    monkeypatch.setattr(region_module, "evaluate", raising_evaluate)
+    out = tmp_path / "new" / "deeper" / "c.csv"
+    code = main(["region", str(tmp_path / "s.toml"), "c", "--grid", "3", "--out", str(out)])
+    assert code == (1 if raising else 3)
+    assert written == ([7] if raising else [0, 0, 0, 0])
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.toml"]
+
+
+def test_an_out_whose_directory_cannot_be_made_exits_5_before_any_tuple(default_file, tmp_path,
+                                                                       monkeypatch, capsys):
+    def no_evaluate(*args):
+        raise AssertionError("evaluated a tuple before the files were open")
+
+    monkeypatch.setattr(region_module, "evaluate", no_evaluate)
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    out = tmp_path / "plain" / "sub" / "d.csv"
+    assert main(["region", default_file, "d", "--grid", "101", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write '{out}'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["default.toml", "plain"]
 
 
 def test_oversized_ensemble_refused_before_any_draw(tmp_path, capsys):

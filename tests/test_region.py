@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -762,6 +763,61 @@ def test_blocked_band_merge_equals_one_block(s, grid):
             for block in (1, 2, 7):
                 patch.setattr(region_module, "_FRONTIER_BLOCK", block)
                 assert _merged_bits(s, protocol, grid) == want, (protocol, block)
+
+
+# one tuple, a pair, a block edge inside a row of the grid, and one block for every grid
+_STREAM_BLOCKS = [1, 2, 7, 1 << 62]
+
+
+def _streamed(s, protocol, grid):
+    """A sweep with write: each written store's seven columns, copied, and the region."""
+    stores = []
+
+    def write(store):
+        _assert_store_invariants(store)
+        assert not stores or store.levels is stores[0][0]  # built once a sweep, shared
+        stores.append((store.levels, [column.copy() for column in store.columns]))
+
+    region = sweep(s, protocol, grid, write)
+    return [np.concatenate(columns) for columns in zip(*(c for _, c in stores))], region
+
+
+def _assert_stream_equals_sweep(s, protocol, grid):
+    """At every _STREAM_BLOCKS size, the written blocks laid end to end are the swept
+    points, column for column and bit for bit, and the frontiers are equal; or both
+    raise the same error."""
+    try:
+        swept = sweep(s, protocol, grid)
+    except (ScenarioValidationError, DegenerateRegionError) as exc:
+        swept = exc
+    for block in _STREAM_BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(region_module, "_FRONTIER_BLOCK", block)
+            if isinstance(swept, Exception):
+                with pytest.raises(type(swept), match=f"^{re.escape(str(swept))}$"):
+                    _streamed(s, protocol, grid)
+                continue
+            columns, streamed = _streamed(s, protocol, grid)
+        assert [c.view(np.int64).tolist() for c in columns] == [
+            c.view(np.int64).tolist() for c in swept.points.columns], (protocol, grid, block)
+        assert streamed.frontier == swept.frontier
+        assert [c.view(np.int64).tolist() for c in streamed.frontier.columns] == [
+            c.view(np.int64).tolist() for c in swept.frontier.columns]
+        assert len(streamed.points) <= len(swept.points)
+
+
+@pytest.mark.parametrize("grid", range(2, 10))
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_streamed_blocks_are_the_swept_points(scenario, lux_gated_scenario, protocol, grid):
+    for s in (scenario, lux_gated_scenario) if protocol is ProtocolId.C else (scenario,):
+        _assert_stream_equals_sweep(s, protocol, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_scenarios(), st.integers(2, 5))
+def test_streamed_sweep_equals_sweep_on_random_scenarios(s, grid):
+    for protocol in ProtocolId:
+        _assert_stream_equals_sweep(s, protocol, grid)
 
 
 @st.composite
