@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import region as _region  # _csv_lines reads its _STREAM_BLOCK when it runs
 from .region import DegenerateRegionError, _band_merge, dominates, max_energy, max_rate, sweep
 from .protocols import _CONTROL_NAMES, _TABLE, ProtocolId, SweepBudgetError, tuples_built
 from .safety import evaluate_safety
@@ -42,8 +43,6 @@ _BASELINES = tuple(p for p in ProtocolId
 
 CSV_HEADER = ",".join(("protocol", *_CONTROL_NAMES, "rate_bps", "harvested_w"))
 
-
-_CSV_BLOCK = 4096  # rows per block: amortises the numpy calls, bounds the block's bytes
 
 _E8_WIDTH = 16  # the longest "%.8e" text of a float: "-1.79769313e+308"
 _DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
@@ -104,40 +103,41 @@ def _e8(values):
     return _cells(wide), not wide[:, -1].all()  # a text shorter than the widest ends in NUL
 
 
-def _level_texts(levels, index):
-    """A control's level texts through _e8, whether any is NUL-padded, and the index
-    into them: with more levels than rows (a frontier keeps its parent's), only the
-    levels used are formatted."""
-    if len(levels) > len(index):
+def _block_texts(levels, index, texts):
+    """A block's texts of a control, gathered by its index, and the padding flag; for
+    a long axis (texts None), _e8 of only the levels the block uses."""
+    if texts is None:
         used, index = np.unique(index, return_inverse=True)
-        levels = levels[used]
-    return (*_e8(levels), index)
+        texts = _e8(levels[used])
+    return texts[0][index], texts[1]
 
 
 def _csv_rows(store):
-    """The CSV bytes of a region's column store in blocks of whole lines, header
-    first; each control's levels are formatted once (_level_texts)."""
+    """The CSV bytes of a region's column store in blocks of whole lines, header first."""
     yield (CSV_HEADER + "\n").encode()
-    yield from _csv_lines(store, map(_level_texts, store.levels, store.index))
+    yield from _csv_lines(store, [])
 
 
-def _csv_lines(store, levels):
-    """A store's CSV lines in blocks, given each control's level texts, whether any
-    is NUL-padded, and its index into them.
+def _csv_lines(store, file_texts):
+    """A store's CSV lines in blocks; ``file_texts`` keeps, for every store of one file,
+    each control's level texts through _e8 and whether any is NUL-padded, filled at
+    the first store with a row: so a control's levels are formatted once a file.
 
-    Each block of _CSV_BLOCK rows is one uint8 matrix: the protocol, the five
-    control level texts gathered by the index columns, the rate and harvest
-    texts, the commas and the newline; every text comes from _e8.  A block with a
-    NUL-padded field is compacted.  Each block is yielded as that array,
-    bytes-like, not copied into bytes.
+    Each block of _STREAM_BLOCK rows is one uint8 matrix: the protocol, the five
+    control level texts gathered by the index columns, the rate and harvest texts,
+    the commas and the newline; every text comes from _e8.  A control with more
+    levels than a block, such as rf's rho_rf past grid 4,096, keeps None and formats
+    only the levels each block uses (_block_texts).  A block with a NUL-padded field
+    is compacted.  Each block is yielded as that array, bytes-like, not copied.
     """
-    if not len(store):
-        return
-    levels = list(levels)
+    rows = _region._STREAM_BLOCK
+    if len(store) and not file_texts:
+        file_texts.extend(None if len(levels) > rows else _e8(levels) for levels in store.levels)
     protocol = store.protocol.value.encode()
-    for start in range(0, len(store), _CSV_BLOCK):
-        part = slice(start, start + _CSV_BLOCK)
-        fields = [(texts[column[part]], padded) for texts, padded, column in levels]
+    for start in range(0, len(store), rows):
+        part = slice(start, start + rows)
+        fields = [_block_texts(levels, column[part], known)
+                  for levels, column, known in zip(store.levels, store.index, file_texts)]
         fields += [_e8(store.rate[part]), _e8(store.harvest[part])]
         widths = [len(protocol), *(texts.itemsize for texts, _ in fields)]
         # each field and its comma or, after the last, the newline
@@ -204,12 +204,10 @@ def cmd_region(scenario, protocol, grid, out_path):
                 raise OSError(errno.EINVAL, "Not a regular file", str(path))
         with _write_together(out_path, frontier_path) as (points_file, frontier_file):
             points_file.write((CSV_HEADER + "\n").encode())
-            texts, rows = [], []
+            texts, rows = [], []  # every store's level texts (_csv_lines) and row count
 
             def write(store):
-                if not texts:  # each control's levels go through _e8 once, at the first block
-                    texts.extend(map(_e8, store.levels))
-                points_file.writelines(_csv_lines(store, ((*t, i) for t, i in zip(texts, store.index))))
+                points_file.writelines(_csv_lines(store, texts))
                 rows.append(len(store))
 
             frontier = sweep(scenario, protocol, grid, write).frontier

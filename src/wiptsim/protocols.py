@@ -202,12 +202,12 @@ class SweepBudgetError(ValueError):
 
 # Tuples an engine may build for one protocol at one go (tuples_built), grid 128 on
 # three axes.  The in-memory sweep keeps 16 bytes of rate and harvest a point and 3-4
-# of its free controls' indices, none of its pinned ones' (40-42 MB at the bound), a
-# band term of compare 16.  region streams its sweep, so it peaks at start-up plus one
-# block of region._FRONTIER_BLOCK tuples plus the frontier: 40.4 MB of RSS for region d
-# --grid 128 and 34.7 MB for vl --grid 1448.  rf --grid 2097152 peaks at 305.5 MB: its
-# frontier is every point, and while it sweeps, its rho_rf axis is 64 MB of Python
-# floats and its first block formats all 2,097,152 level texts at once.
+# of its free controls' indices, none of its pinned ones' (40-42 MB at the bound);
+# compare holds a block of about region._FRONTIER_BLOCK band terms, 16 bytes each, and
+# the frontiers.  region streams its sweep, so it peaks at start-up plus one block of
+# region._STREAM_BLOCK tuples plus the frontier: 38.3 MB of RSS for region d --grid 128
+# and 32.7 MB for vl --grid 1448.  rf --grid 2097152 peaks at 230.1 MB: its frontier
+# is every point, and while it sweeps, its rho_rf axis is 64 MB of Python floats.
 _MAX_SWEEP_TUPLES = 1 << 21
 
 # Entries of the RF memo.  rho_rf is the grid's fastest axis, so a sweep
@@ -242,7 +242,7 @@ class _Bands:
     ID-slot rate and harvest, the all-DC harvest).  ``levels`` memoises them,
     _lightwave_levels over the band's link gain, by (band name, drive,
     alpha) with one entry a band, as alpha lies outside tau in grid order.
-    evaluate frames a level over its tau, _band_terms over the tau axis, in
+    evaluate frames a level over its tau, _band_blocks over the tau axis, in
     one operand order.  Both read protocol c's lux gate (``lux``: the VL
     geometry and the full-drive illuminance) and ``rf``, which puts the RF term
     of a (drive, rho_rf) key in the RF memo ``rf_terms``, a dict cleared when it
@@ -413,50 +413,58 @@ def enumerate_controls(protocol, grid_points_per_axis):
     return _Grid(_axes(protocol, grid_points_per_axis))
 
 
-@np.errstate(all="ignore")
-def _band_terms(scenario, protocol, grid_points_per_axis):
-    """(feasible, lightwave, rf) of a protocol that drives the RF band: c's lux
-    gate's mask over the lightwave tuples in grid order, their (rate, harvested
-    power) rows, the lightwave bands added from 0.0 as evaluate adds them, and
-    the rho_rf levels' rows, or None for both when every tuple is rejected.
-    Reads its own _Bands context, never evaluate's, and its kernels as
-    evaluate does: one ``levels`` lookup per alpha, framed over the tau axis.
-    The first grid tuple whose term or sum is inf or NaN raises evaluate's error.
+def _band_blocks(scenario, protocol, grid_points_per_axis, block):
+    """The (rate, harvested power) rows of a protocol that drives the RF band, in
+    blocks (lightwave, rf): a block's lightwave tuples that c's lux gate keeps, in
+    grid order, the bands added from 0.0 as evaluate adds them, and the rho_rf levels.
+
+    A block is a run of whole rows of the first lightwave axis with more than one
+    level, about ``block`` tuples; one the lux gate rejects whole is skipped, and RF
+    terms are computed at the first block kept.  Reads its own _Bands context, never
+    evaluate's, and each lightwave kernel once per alpha; the first grid tuple whose
+    term or sum is inf or NaN raises evaluate's error.
     """
     tuples_built(protocol, grid_points_per_axis, merged=True)
-    *lightwave_axes, rho_levels = _axes(protocol, grid_points_per_axis)
-    row, bands = _TABLE[protocol], _Bands(scenario)
-    shape = tuple(map(len, lightwave_axes))
-    feasible = np.ones(shape, dtype=bool)
-    if row.lux_gated:  # the (alpha_vl, tau_vl) plane broadcasts over the last two axes
-        _, above, below = bands.lux(np.array(lightwave_axes[2])[:, None],
-                                    np.array(lightwave_axes[3]))
-        feasible &= ~(above | below)
-    if not feasible.any():
-        return feasible.ravel(), None, None
-    terms = np.zeros((2, *shape))  # (rate or harvest, *lightwave tuple)
-    for name, drive, k in row.lightwave:
-        alphas, taus = lightwave_axes[k], np.array(lightwave_axes[k + 1])
-        plane = np.full((2, len(alphas), len(taus)), math.nan)  # NaN where the kernels raised
-        for i, alpha in enumerate(alphas):  # alphas stay floats for the kernels
+    *axes, rho_levels = _axes(protocol, grid_points_per_axis)
+    row, bands, rf, levels = _TABLE[protocol], _Bands(scenario), None, {}
+    for name, drive, k in row.lightwave:  # NaN where the kernels raised
+        levels[k] = np.full((len(axes[k]), 3), math.nan)
+        for i, alpha in enumerate(axes[k]):  # alphas stay floats for the kernels
             with suppress(ArithmeticError):
-                r, e, full = bands.levels(name, drive, alpha)
-                plane[:, i] = taus * r, taus * e + (1.0 - taus) * full
-        terms += plane.reshape(2, *(n if k <= j <= k + 1 else 1 for j, n in enumerate(shape)))
-    rf = np.full((len(rho_levels), 2), math.inf)  # kept where it raised, so each sum fails
-    with suppress(ScenarioValidationError):
-        for k, rho in enumerate(rho_levels):
-            rf[k] = bands.rf((row.rf, rho))
-    feasible, terms = feasible.ravel(), terms.reshape(2, -1).T
-    # Correctly rounded addition never decreases when an addend grows, so a
-    # lightwave term's sums with the RF minima and maxima bound its others.
-    finite = np.isfinite(terms + rf.min(0)) & np.isfinite(terms + rf.max(0))
-    failing = feasible & ~finite.all(1)
-    if not failing.any():
-        return feasible, terms, rf
-    # Each lightwave tuple before the first failing one is rejected or has
-    # only finite sums, so the first failing grid tuple is among its own.
-    values = next(itertools.islice(itertools.product(*lightwave_axes), failing.argmax(), None))
-    for rho in rho_levels:
-        evaluate(scenario, protocol, tuple.__new__(ProtocolControls, (*values, rho)))
-    raise AssertionError("a band sum failed, but evaluate did not")
+                levels[k][i] = bands.levels(name, drive, alpha)
+    split = next((k for k, axis in enumerate(axes) if len(axis) > 1), 0)
+    rows = max(1, block // math.prod(map(len, axes[split + 1:])))
+    for start in range(0, len(axes[split]), rows):
+        with np.errstate(all="ignore"):  # in the body, a block at a time: not across a yield
+            part = [slice(start, start + rows) if k == split else slice(None) for k in range(4)]
+            lightwave = [axis[s] for axis, s in zip(axes, part)]  # the block's own axes
+            feasible = np.ones(tuple(map(len, lightwave)), dtype=bool)
+            if row.lux_gated:  # the (alpha_vl, tau_vl) plane broadcasts over the last two axes
+                _, above, below = bands.lux(np.array(lightwave[2])[:, None], np.array(lightwave[3]))
+                feasible &= ~(above | below)
+            if not feasible.any():
+                continue
+            terms = np.zeros((2, *feasible.shape))  # (rate or harvest, *lightwave tuple)
+            for _, _, k in row.lightwave:
+                r, e, full = levels[k][part[k]].T[..., None]  # each (alphas, 1)
+                taus = np.array(lightwave[k + 1])
+                frame = (*(1,) * k, len(r), len(taus), *(1,) * (2 - k))  # in the block's axes
+                terms[0] += (taus * r).reshape(frame)
+                terms[1] += (taus * e + (1.0 - taus) * full).reshape(frame)
+            if rf is None:  # inf kept where it raised, so each sum fails
+                rf = np.full((len(rho_levels), 2), math.inf)
+                with suppress(ScenarioValidationError):
+                    for k, rho in enumerate(rho_levels):
+                        rf[k] = bands.rf((row.rf, rho))
+            feasible, terms = feasible.ravel(), terms.reshape(2, -1).T
+            # Correctly rounded addition never decreases when an addend grows, so a
+            # lightwave term's sums with the RF minima and maxima bound its others.
+            finite = np.isfinite(terms + rf.min(0)) & np.isfinite(terms + rf.max(0))
+            failing = feasible & ~finite.all(1)
+            if failing.any():  # no earlier tuple fails, so the grid's first failing one is here
+                values = next(itertools.islice(itertools.product(*lightwave), failing.argmax(), None))
+                for rho in rho_levels:
+                    evaluate(scenario, protocol, tuple.__new__(ProtocolControls, (*values, rho)))
+                raise AssertionError("a band sum failed, but evaluate did not")
+            terms = terms[feasible]  # all the block holds while its rows are out
+        yield terms, rf

@@ -1,11 +1,11 @@
 """Rate-energy regions: exhaustive sweeps, Pareto frontiers, dominance."""
 
-import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
+from operator import mul
 
 import numpy as np
 
@@ -15,12 +15,13 @@ from .protocols import (
     ProtocolControls,
     ProtocolId,
     _TABLE,
-    _band_terms,
+    _band_blocks,
     enumerate_controls,
     evaluate,
 )
 
-_FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts, tuples a streamed sweep holds, at one go
+_FRONTIER_BLOCK = 1 << 16  # rows the Pareto filter sorts; the band merge's and in-memory fill's block
+_STREAM_BLOCK = 1 << 12  # tuples a streamed sweep hands to write at one go: one CSV block of rows
 # _pinned(n): a one-level control's index column, n read-only zeros over one shared byte
 _pinned = partial(np.ndarray, dtype=np.uint8, buffer=b"\0", strides=(0,))
 
@@ -32,8 +33,8 @@ def _finite(rate, harvest):  # the columns, once no point is inf or NaN: the ord
 
 
 def _index_dtype(levels):
-    """The smallest unsigned dtype that indexes this many levels (uint8 up to 256)."""
-    return np.min_scalar_type(max(levels - 1, 0))
+    """The smallest unsigned dtype that indexes this many levels (uint8 up to 256, at most uint32)."""
+    return np.uint8 if levels <= 1 << 8 else np.uint16 if levels <= 1 << 16 else np.uint32
 
 
 class _Points:
@@ -114,7 +115,7 @@ class _Sink:
     def __init__(self, protocol, axes, write):
         self.protocol, self.write, self.start, self.frontier = protocol, write, 0, _Frontier()
         self.levels = tuple(np.array(axis, dtype=np.float64) for axis in axes)  # shared by each store
-        self.strides = [math.prod(map(len, axes[k + 1:])) for k in range(len(axes))]
+        self.strides = [*accumulate(map(len, axes[:0:-1]), mul, initial=1)][::-1]
         self.rate, self.harvest, self.rejected = array("d"), array("d"), array("q")
 
     def append(self, point):
@@ -128,8 +129,8 @@ class _Sink:
         """The grid's tuples a block at a time; once a block's last is in, its points go
         to write as one store, only their frontier is kept, and the buffers start anew."""
         tuples = iter(grid)
-        for self.start in range(0, len(grid), _FRONTIER_BLOCK):  # the block's first position
-            yield islice(tuples, _FRONTIER_BLOCK)
+        for self.start in range(0, len(grid), _STREAM_BLOCK):  # the block's first position
+            yield islice(tuples, _STREAM_BLOCK)
             positions = self.positions(self.start, self.start + len(self.rate) + len(self.rejected))
             store = _Points(self.protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
                             self.levels, self.index(positions))
@@ -159,15 +160,18 @@ class _Sink:
             positions, rate, harvest = self.frontier.columns()
             return _Points(self.protocol, rate, harvest, self.levels, self.index(positions))
         count, stop = len(self.rate), len(self.rate) + len(self.rejected)
-        index = tuple(_pinned(count) if len(levels) == 1 else
-                      np.empty(count, _index_dtype(len(levels))) for levels in self.levels)
-        at = 0  # the columns are filled a block of grid positions at a time
-        for start in range(0, stop, _FRONTIER_BLOCK):
-            positions = self.positions(start, min(start + _FRONTIER_BLOCK, stop))
-            for column, part in zip(index, self.index(positions)):
-                if column.flags.writeable:  # a _pinned column holds nothing to fill
-                    column[at:at + len(part)] = part
-            at += len(positions)
+        if stop <= _FRONTIER_BLOCK:  # one block: its index columns are the store's
+            index = self.index(self.positions(0, stop))
+        else:  # the columns are filled a block of grid positions at a time
+            index = tuple(_pinned(count) if len(levels) == 1 else
+                          np.empty(count, _index_dtype(len(levels))) for levels in self.levels)
+            at = 0
+            for start in range(0, stop, _FRONTIER_BLOCK):
+                positions = self.positions(start, min(start + _FRONTIER_BLOCK, stop))
+                for column, part in zip(index, self.index(positions)):
+                    if column.flags.writeable:  # a _pinned column holds nothing to fill
+                        column[at:at + len(part)] = part
+                at += len(positions)
         return _Points(self.protocol, np.frombuffer(self.rate), np.frombuffer(self.harvest),
                        self.levels, index)
 
@@ -199,7 +203,7 @@ class RateEnergyRegion:
 def sweep(scenario, protocol, grid_points_per_axis, write=None):
     """Evaluate the full control grid; infeasible tuples are skipped.
 
-    Given ``write``, each block of _FRONTIER_BLOCK grid tuples goes to it, in grid
+    Given ``write``, each block of _STREAM_BLOCK grid tuples goes to it, in grid
     order, as a column store of the block's points over the sweep's shared levels,
     and only the block's frontier is kept: the region's frontier is the full
     sweep's, bit for bit, and its points are just those frontier candidates.
@@ -295,6 +299,8 @@ def pareto(points):
     """
     if isinstance(points, _Points):
         rate, harvest = points.rate, points.harvest
+        if len(rate) <= _FRONTIER_BLOCK:  # one block's frontier is the frontier
+            return points.take(_sorted_frontier(rate, harvest))
         if (rate[1:] > rate[:-1]).all() and (harvest[1:] < harvest[:-1]).all():
             return points.take(slice(None))  # a staircase, as a streamed sweep keeps, is its own
         return points.take(_frontier(_blocks(rate, harvest)))
@@ -348,20 +354,22 @@ def _band_merge(scenario, protocol, grid_points_per_axis):
     Pareto(A + B) lies within Pareto(A) + Pareto(B) (Ehrgott, Multicriteria
     Optimization, 2005).  Correctly rounded addition never decreases when
     an addend grows, so the sums of the band frontiers, added in evaluate's
-    order, have the full sweep's frontier values bit for bit.  The sums are
-    built and filtered a block of lightwave rows by every RF row at a time
-    (about _FRONTIER_BLOCK sums), never all at once.  Errors are sweep's.
+    order, have the full sweep's frontier values bit for bit.  Each block of
+    lightwave terms (_band_blocks) and of sums (lightwave rows by every RF row,
+    about _FRONTIER_BLOCK) leaves only its frontier.  Errors are sweep's.
     """
     if _TABLE[protocol].rf is None:
         region = sweep(scenario, protocol, grid_points_per_axis)
         return len(region.points), _FrontierOnly(region.frontier)
-    feasible, lightwave, rf = _band_terms(scenario, protocol, grid_points_per_axis)
+    count, pruned, rf = 0, _Frontier(), None
+    for lightwave, rf in _band_blocks(scenario, protocol, grid_points_per_axis, _FRONTIER_BLOCK):
+        count += len(lightwave) * len(rf)
+        pruned.push(lightwave, *lightwave.T)  # each block's frontier; the terms ride as positions
     if rf is None:
         raise DegenerateRegionError(
             f"every control tuple of protocol {protocol.value} is infeasible"
         )
-    count = int(feasible.sum()) * len(rf)
-    lightwave, rf = (terms[_frontier(_blocks(*terms.T))] for terms in (lightwave[feasible], rf))
+    lightwave, rf = pruned.columns()[0], rf[_frontier(_blocks(*rf.T))]  # frees the last block
     rows = max(1, _FRONTIER_BLOCK // len(rf))
     kept = _frontier((np.arange(k * len(rf), min(k + rows, len(lightwave)) * len(rf)),
                       *(lightwave[k:k + rows, None] + rf).reshape(-1, 2).T)

@@ -7,8 +7,9 @@ on the run's peak RSS in MB, and the bytes of its outputs: digests maps "stdout"
 or the name of a file the run leaves to the sha256 of its bytes.  The digests are
 the byte check of the CSV, frontier and compare outputs: each was taken from a
 known-good build, and none is regenerated to let a change pass.  Run every row
-against the installed wiptsim with `pip install . && python tests/cli_contract.py`:
-one line per row, every failing row reported, then exit 1 if any failed.  Tier-1
+against the installed wiptsim with `pip install . && python tests/cli_contract.py`,
+or only the rows named, `python tests/cli_contract.py ROW ...`: one line per row,
+every failing row reported, then exit 1 if any failed.  Tier-1
 runs the FAST rows, which bound no RSS: a child's ru_maxrss starts at its parent's
 resident size, so only this script, which imports neither numpy nor wiptsim, reads it.
 Every child runs with MALLOC_MMAP_THRESHOLD_=131072, glibc's initial mmap threshold.
@@ -168,34 +169,39 @@ FAST = {
                                                "(rate, harvested power) = (inf, ") + r".*\n"),
 }
 SLOW = {
-    # region streams d's 1,030,301 points to the file a block of 65,536 grid tuples at a
-    # time and keeps only each block's frontier (40.3 MB peak; 56.7 MB holding them all)
+    # region streams d's 1,030,301 points to the file a block of 4,096 grid tuples at a
+    # time and keeps only each block's frontier (38.3 MB peak; 40.3 MB with blocks of
+    # 65,536; 56.7 MB holding them all)
     "region-d-grid-101": _region(DEFAULT, "d", 101, 1030301,
                                  "6ded5faba8abf53728e7bf31c6fc297e4446f1c43bfe3f437ae545b7e9e7a75d",
-                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 49),
+                                 "2be5127b600afc73fac1ecdeb1666ab1b6b3f89b99802646f1edfd9f5ea0683b", 46),
     # 2,097,152 points, the sweep budget on three axes: the grid's rates, harvests and
-    # index columns (40 MB) are never held at once (40.4 MB peak; 76.8 MB holding them)
+    # index columns (40 MB) are never held at once (38.3 MB peak; 76.8 MB holding them)
     "region-d-grid-128": _region(DEFAULT, "d", 128, 2097152,
                                  "d4754a03d77adf07ab30771c0886e5e9fd61e00103abf26ef21100ed29677e1f",
-                                 "ad4172da84fa18634a774b719ad5e83b5230066f4fc63fa761375850013fd666", 49),
-    # c keeps the grid positions it rejects in a typed array (128 MB as a list of ints)
+                                 "ad4172da84fa18634a774b719ad5e83b5230066f4fc63fa761375850013fd666", 46),
+    # c keeps the grid positions it rejects in a typed array (128 MB as a list of ints;
+    # 38.4 MB peak)
     "lux-region-c-grid-128": _region(LUX, "c", 128, 892160,
                                      "ffc23ced6fd96a65a92f15e15fafd323cb9ef4d7698938224fac8ec95d33d6ec",
-                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 48),
+                                     "92e83fa0f40d438166d04bee0f7d825caf30ff2bae0c81fab0effd2dda1583d0", 47),
     # 2,096,704 points: each free axis has 1,448 levels, each formatted once a file by _e8
-    # (34.7 MB peak; 74.9 MB holding every point)
+    # (32.7 MB peak; 74.9 MB holding every point)
     "region-vl-grid-1448": _region(DEFAULT, "vl", 1448, 2096704,
                                    "0cc15f78e073222f1edc13274b4343ce59d4711fda3610d7c332fa5ee6b9ae9f",
-                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 43),
-    # a frontier that is every point; the peak (305.5 MB) comes while the sweep holds the
-    # rho_rf axis as Python floats and its first block formats every level text
+                                   "b8a2d30048b811df4231c2ad8c792bfbb9ffb2f6ea5788b425cb1fbd0b4fe964", 40),
+    # a frontier that is every point; the peak (230.1 MB) comes while the sweep holds the
+    # rho_rf axis as Python floats (64 MB); each CSV block formats only its own levels
     "region-rf-grid-2097152": _region(DEFAULT, "rf", 2097152, 2097152,
                                       "2648d9173eb3a7bcb3a5be9a6ee075011b41aaf257e339600037f63edb561098",
-                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 367),
-    "compare-grid-1001": Row(DEFAULT, [*COMPARE, "--grid", "1001"], 0, _table(10), digests={
+                                      "be7d19db83172cf009810562a9a6d7afa302bb6083db11d93c69b518050814df", 277),
+    # c's and d's band terms come a block of whole alpha rows at a time, and only each
+    # block's frontier is kept (59.4 MB peak; 98.5 MB holding every band term)
+    "compare-grid-1001": Row(DEFAULT, [*COMPARE, "--grid", "1001"], 0, _table(10), rss_mb=72, digests={
         "stdout": "fabdc0bb745d1637b21b4efe991062ee043a38dc8e8ff8de0d1fcc9d558da288"}),
     # the largest grid compare admits: c's and d's counts take ten digits, and vl's and
-    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (165.3 MB peak)
+    # nirl's sweeps evaluate 2,096,704 tuples each; every value is pinned (79.6 MB peak;
+    # 164.6 MB holding c's and d's band terms whole)
     "compare-grid-1448": Row(DEFAULT, [*COMPARE, "--grid", "1448"], 0, re.escape(
         "protocol      points    max_rate_bps    max_energy_w    dom_rf    dom_vl  dom_nirl\n"
         "rf              1448    3.175496e+08    1.752868e-03         -         -         -\n"
@@ -205,7 +211,7 @@ SLOW = {
         "b            2096704    2.128100e+09    1.058657e-02       yes       yes        no\n"
         "c         3036027392    1.688812e+09    1.058657e-02       yes       yes        no\n"
         "d         3036027392    3.280458e+09    1.024192e-02       yes       yes       yes\n"),
-        rss_mb=199),
+        rss_mb=96),
 }
 
 
@@ -264,8 +270,13 @@ def check(row, command):
 
 
 if __name__ == "__main__":
+    table = {**FAST, **SLOW}
+    names = sys.argv[1:] or list(table)  # python tests/cli_contract.py [ROW ...]
+    if unknown := [name for name in names if name not in table]:
+        sys.exit(f"no such row: {', '.join(unknown)}")
     failed = []
-    for name, row in {**FAST, **SLOW}.items():
+    for name in names:
+        row = table[name]
         try:
             seconds, peak = check(row, ["wiptsim"])
         except AssertionError as exc:
@@ -274,4 +285,4 @@ if __name__ == "__main__":
             continue
         print(f"{row.code} {seconds:6.2f} s {peak:6.1f} MB  {name}: wiptsim {row.argv}", flush=True)
     if failed:
-        sys.exit(f"{len(failed)} of {len(FAST) + len(SLOW)} rows failed: {', '.join(failed)}")
+        sys.exit(f"{len(failed)} of {len(names)} rows failed: {', '.join(failed)}")

@@ -118,15 +118,15 @@ def test_region_files_honour_umask(default_file, tmp_path):
 @pytest.mark.parametrize("protocol", list(ProtocolId))
 def test_streamed_files_are_the_in_memory_regions_csv(scenario, lux_gated_scenario, tmp_path,
                                                       monkeypatch, capsys, protocol, grid):
-    # sweep blocks of one tuple, of two, of seven (edges inside a grid row) and one
-    # block for the grid, with CSV blocks of three rows inside them
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+    # stream blocks of one tuple, of two, of three and seven (edges inside a grid row)
+    # and one block for the grid; each block is one CSV block of the points file, and
+    # the frontier file is written in blocks of the same size
     for s in (scenario, lux_gated_scenario) if protocol is ProtocolId.C else (scenario,):
         region = sweep(s, protocol, grid)
         want = [b"".join(map(bytes, cli._csv_rows(store)))
                 for store in (region.points, region.frontier)]
-        for block in (1, 2, 7, 1 << 62):
-            monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", block)
+        for block in (1, 2, 3, 7, 1 << 62):
+            monkeypatch.setattr(region_module, "_STREAM_BLOCK", block)
             out = tmp_path / f"{block}.csv"
             assert cli.cmd_region(s, protocol, grid, str(out)) == 0
             assert [out.read_bytes(), (tmp_path / f"{block}.frontier.csv").read_bytes()] == want
@@ -136,11 +136,12 @@ def test_streamed_files_are_the_in_memory_regions_csv(scenario, lux_gated_scenar
 
 
 def test_region_memory_follows_the_frontier_not_the_grid(scenario, tmp_path, monkeypatch):
-    # Blocks of 4,096 tuples: d at grid 41 sweeps 7.4 times grid 21's 9,261 tuples,
-    # and its traced peak (a block's columns, a CSV block, the frontier, about 1.0 MB
-    # at both grids) stays within 128 KiB of grid 21's.  Holding every point, as an
-    # in-memory sweep does, adds about 17 bytes a tuple: 1.2 MB more at grid 41.
-    monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", 4096)
+    # Stream blocks of 4,096 tuples: d at grid 41 sweeps 7.4 times grid 21's 9,261
+    # tuples, and its traced peak (a block's columns, its CSV block, the frontier, read
+    # 963 and 995 KiB) stays within 128 KiB of grid 21's.  Holding every point, as an
+    # in-memory sweep does, adds about 17 bytes a tuple: 1.2 MB more at grid 41; blocks
+    # of 65,536 tuples read 1,578 and 4,743 KiB.
+    monkeypatch.setattr(region_module, "_STREAM_BLOCK", 4096)
     sweep(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
     peaks = {}
     for grid in (21, 41):
@@ -446,7 +447,7 @@ def test_a_sweep_that_raises_after_a_written_block_leaves_nothing(tmp_path, monk
     # blocks of 7 tuples: a glaring c rejects all 27, and only then is its region
     # degenerate (exit 3); an evaluate raising at the second block's first tuple,
     # after the first block's rows went out, exits 1
-    monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", 7)
+    monkeypatch.setattr(region_module, "_STREAM_BLOCK", 7)
     text = "" if raising else "luminous_efficacy = 5000.0\n"
     (tmp_path / "s.toml").write_text(text)
     written, real = [], cli._csv_lines

@@ -312,7 +312,7 @@ def test_e8_equals_format_e_on_any_float(values):
 def test_csv_blocks_of_mixed_widths(monkeypatch):
     # the first block mixes signs, a three-digit exponent and -0.0 controls, so its
     # fields differ in width; the second block's fields do not
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    monkeypatch.setattr(region_module, "_STREAM_BLOCK", 4)
     rows = [(-1.5, 2.5e-3, 0.0, -0.0), (2.5, 1e-120, -0.0, 0.5), (-0.0, 3.0, 0.5, 0.0),
             (-7.25e8, 0.0, -0.0, -0.0),
             (1.25, 2.5, 0.0, 0.5), (3.5e6, 4.5e-3, 0.5, 0.5), (1e-3, 7.0, 0.0, 0.0)]
@@ -333,7 +333,7 @@ def test_csv_blocks_of_mixed_widths(monkeypatch):
 def test_csv_rows_format_only_the_levels_a_small_store_uses(monkeypatch):
     # a frontier keeps its parent's levels: five rows over a rho_rf axis three
     # blocks long, with a wider level text that no row uses and one that a row does
-    rho = np.linspace(0.0, 1.0, 3 * cli._CSV_BLOCK + 5)
+    rho = np.linspace(0.0, 1.0, 3 * region_module._STREAM_BLOCK + 5)
     rho[1], rho[2] = 1e-300, -2.5e-310
     pick = np.array([len(rho) - 1, 2, 7, 2, 0], np.uint16)
     zeros = np.zeros(len(pick), np.uint8)
@@ -356,13 +356,56 @@ def test_csv_rows_format_only_the_levels_a_small_store_uses(monkeypatch):
 
 
 def test_csv_blocks_end_on_whole_lines(monkeypatch, scenario):
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(region_module, "_STREAM_BLOCK", 7)
     points = sweep(scenario, ProtocolId.C, 4).points
     blocks = [bytes(block) for block in _csv_rows(points)]
     assert all(block.endswith(b"\n") for block in blocks)
     assert [block.count(b"\n") for block in blocks] == [1] + [7] * 9 + [1]  # 64 rows
     monkeypatch.undo()
     assert b"".join(blocks) == b"".join(_csv_rows(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(_E8_EDGES), min_size=1, max_size=60),
+       st.data(), st.integers(1, 9))
+def test_e8_of_a_long_axis_a_block_at_a_time_equals_one_call(levels, data, block):
+    # a long axis's texts, _e8 of only the levels each block of an index column uses,
+    # are one call's, NUL padding dropped; each call's flag is exact, and a block of
+    # texts that one call pads nowhere is not padded either
+    levels = np.array(levels)
+    index = np.array(data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=1, max_size=60)))
+    cells, padded = cli._e8(levels)
+    for start in range(0, len(index), block):
+        used, inverse = np.unique(index[start:start + block], return_inverse=True)
+        part, flag = cli._e8(levels[used])
+        assert [c.tobytes().rstrip(b"\0") for c in part[inverse]] == [
+            c.tobytes().rstrip(b"\0") for c in cells[index[start:start + block]]]
+        assert flag is any(b"\0" in c.tobytes() for c in part)
+        assert padded or not flag
+
+
+def test_csv_rows_format_only_the_levels_each_block_of_a_long_axis_uses(monkeypatch):
+    # rho_rf has three blocks of levels and five more, each used once, and each block
+    # of rows uses its first two and last two unused levels: every block formats only
+    # those four rho_rf levels, then its rates and harvests
+    monkeypatch.setattr(region_module, "_STREAM_BLOCK", 4)
+    rho = np.linspace(0.0, 1.0, 17)
+    rho[1], rho[15] = -2.5e-310, 1e-300  # a wider text in the first block
+    pick = np.array([0, 16, 1, 15, 2, 14, 3, 13, 4, 12, 5, 11, 6, 10, 7, 9, 8], np.uint8)
+    rate, zeros = np.arange(17.0), np.zeros(17, np.uint8)
+    store = region_module._Points(ProtocolId.RF_ONLY, rate, rate[::-1] / 3,
+                                  (np.zeros(1),) * 4 + (rho,), (zeros,) * 4 + (pick,))
+    sizes = []
+
+    def e8(values, _real=cli._e8):
+        sizes.append(len(values))
+        return _real(values)
+
+    monkeypatch.setattr(cli, "_e8", e8)
+    want = [",".join(["rf", *(format(v, ".8e") for v in (0, 0, 0, 0, rho[k], row, (16 - row) / 3))])
+            for row, k in enumerate(pick)]
+    assert b"".join(_csv_rows(store)).decode().split("\n") == [CSV_HEADER, *want, ""]
+    assert sizes == [1, 1, 1, 1] + [4, 4, 4] * 4 + [1, 1, 1]
 
 
 def _hex(point):
@@ -765,8 +808,8 @@ def test_blocked_band_merge_equals_one_block(s, grid):
                 assert _merged_bits(s, protocol, grid) == want, (protocol, block)
 
 
-# one tuple, a pair, a block edge inside a row of the grid, and one block for every grid
-_STREAM_BLOCKS = [1, 2, 7, 1 << 62]
+# one tuple, a pair, a block edge inside a row of the grid (3 and 7), and one block for every grid
+_STREAM_BLOCKS = [1, 2, 3, 7, 1 << 62]
 
 
 def _streamed(s, protocol, grid):
@@ -792,7 +835,7 @@ def _assert_stream_equals_sweep(s, protocol, grid):
         swept = exc
     for block in _STREAM_BLOCKS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(region_module, "_FRONTIER_BLOCK", block)
+            patch.setattr(region_module, "_STREAM_BLOCK", block)
             if isinstance(swept, Exception):
                 with pytest.raises(type(swept), match=f"^{re.escape(str(swept))}$"):
                     _streamed(s, protocol, grid)
@@ -936,38 +979,48 @@ def test_band_merge_raises_the_sweeps_first_error(text, raising):
 @example(parse_scenario("nirl_bulb_power = 1e200\n"), 3)
 @example(parse_scenario("optical_filter_gain = 1e300\n"), 3)
 def test_band_terms_equal_a_per_tuple_loop(s, grid):
+    # the generator's blocks, laid end to end, at blocks of one tuple, two, seven and
+    # one block for the grid: every block shares one rf array
     for protocol in (p for p in ProtocolId if protocols._TABLE[p].rf is not None):
         row, tuples = protocols._TABLE[protocol], list(enumerate_controls(protocol, grid))
         rhos = list(dict.fromkeys(c.rho_rf for c in tuples))  # rho_rf is the fastest axis
         lightwave = tuples[::len(rhos)]
         feasible = [not (row.lux_gated and lux_rejects(s, c.alpha_vl, c.tau_vl)) for c in lightwave]
         errors = [o for o in (direct_outcome(s, row, c) for c in tuples) if isinstance(o, str)]
-        if errors:  # the first grid tuple whose term or sum is inf or NaN raises
-            with pytest.raises(ScenarioValidationError) as info:
-                protocols._band_terms(s, protocol, grid)
-            assert str(info.value) == errors[0]
-            continue
-        mask, terms, rf = protocols._band_terms(s, protocol, grid)
-        assert mask.tolist() == feasible
-        if not any(feasible):
-            assert (terms, rf) == (None, None)
-            continue
-        kept = [direct_terms(s, row, c)[0] for c, ok in zip(lightwave, feasible) if ok]
-        first = lightwave[feasible.index(True)]  # its lightwave kernels do not fail
-        want_rf = [direct_terms(s, row, first._replace(rho_rf=rho))[1] for rho in rhos]
-        for got, want in ((terms[mask], kept), (rf, want_rf)):
-            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        for block in (1, 2, 7, 1 << 62):
+            blocks = protocols._band_blocks(s, protocol, grid, block)
+            if errors:  # the first grid tuple whose term or sum is inf or NaN raises
+                with pytest.raises(ScenarioValidationError) as info:
+                    list(blocks)
+                assert str(info.value) == errors[0]
+                continue
+            blocks = list(blocks)
+            if not any(feasible):
+                assert blocks == []
+                continue
+            assert all(rf is blocks[0][1] for _, rf in blocks)
+            kept = [direct_terms(s, row, c)[0] for c, ok in zip(lightwave, feasible) if ok]
+            first = lightwave[feasible.index(True)]  # its lightwave kernels do not fail
+            want_rf = [direct_terms(s, row, first._replace(rho_rf=rho))[1] for rho in rhos]
+            for got, want in ((np.concatenate([terms for terms, _ in blocks]), kept),
+                              (blocks[0][1], want_rf)):
+                assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 @pytest.mark.parametrize("protocol", [ProtocolId.C, ProtocolId.D])
 def test_band_terms_call_the_lightwave_kernels_once_per_alpha(monkeypatch, scenario, protocol):
-    calls = counted(monkeypatch, protocols, "lightwave_rate", "optical_harvest", "illuminance_at")
-    protocols._band_terms(scenario, protocol, 41)
-    # one level of the pinned band's alpha, 41 of the swept one's; each level
-    # harvests twice (ID slot and all-DC remainder)
-    assert calls == {"lightwave_rate": 42, "optical_harvest": 84,
-                     # full drive, and c's levels as one array
-                     "illuminance_at": 2 if protocol is ProtocolId.C else 1}
+    # one block for the grid, then blocks of four alpha rows of 41 taus: 11 blocks,
+    # whichever band's alpha splits
+    for block, blocks in ((1 << 62, 1), (4 * 41, 11)):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counted(patch, protocols, "lightwave_rate", "optical_harvest", "illuminance_at")
+            terms = protocols._band_blocks(scenario, protocol, 41, block)
+            assert sum(len(rows) for rows, _ in terms) == 41 ** 2
+        # one level of the pinned band's alpha, 41 of the swept one's, whatever the
+        # blocks; each level harvests twice (ID slot and all-DC remainder)
+        assert calls == {"lightwave_rate": 42, "optical_harvest": 84,
+                         # full drive, and each of c's blocks' levels as one array
+                         "illuminance_at": 1 + blocks if protocol is ProtocolId.C else 1}
 
 
 def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_scenario):
@@ -978,13 +1031,26 @@ def test_band_terms_and_evaluate_keep_their_own_contexts(scenario, lux_gated_sce
         count, region = region_module._band_merge(lux_gated_scenario, ProtocolId.C, grid)
         return count, [column.view(np.int64).tolist() for column in region.frontier.columns[:2]]
 
+    def swept_against_cold():
+        swept = sweep(other, ProtocolId.D, grid).points.rows()
+        cold = dataclasses.replace(other)  # a scenario no context was built for
+        assert [tuple(v.hex() for v in row[:2]) for row in swept] == [
+            bits(evaluate(cold, ProtocolId.D, c)) for c in enumerate_controls(ProtocolId.D, grid)]
+        return cold
+
     first = merged()
-    swept = sweep(other, ProtocolId.D, grid).points.rows()
-    cold = dataclasses.replace(other)  # a scenario no context was built for
-    assert [tuple(v.hex() for v in row[:2]) for row in swept] == [
-        bits(evaluate(cold, ProtocolId.D, c)) for c in enumerate_controls(ProtocolId.D, grid)]
+    whole = [terms.tolist() for terms, _ in protocols._band_blocks(lux_gated_scenario,
+                                                                   ProtocolId.C, grid, 5)]
+    # a suspended generator keeps its context while evaluate builds and uses another
+    blocks = protocols._band_blocks(lux_gated_scenario, ProtocolId.C, grid, 5)
+    interleaved = [next(blocks)[0].tolist()]
+    cold = swept_against_cold()
+    interleaved += [terms.tolist() for terms, _ in blocks]
+    assert interleaved == whole and len(whole) > 1
+    assert protocols._last_bands[0] is cold  # the generator left evaluate's context alone
+    cold = swept_against_cold()
     assert merged() == first
-    assert protocols._last_bands[0] is cold  # the merge left evaluate's context alone
+    assert protocols._last_bands[0] is cold  # and so did the merge
 
 
 def test_band_merge_rejects_a_glaring_grid_before_any_rf_term(monkeypatch,
@@ -997,3 +1063,23 @@ def test_band_merge_rejects_a_glaring_grid_before_any_rf_term(monkeypatch,
     with pytest.raises(DegenerateRegionError,
                        match="^every control tuple of protocol c is infeasible$"):
         region_module._band_merge(glaring, ProtocolId.C, 21)
+
+
+def test_band_merge_memory_follows_the_frontiers_not_the_grid(scenario, monkeypatch):
+    # Blocks of 1,024 tuples: c's and d's lightwave grids at grid 80 are four times grid
+    # 40's, and each traced peak (a block's terms, the band frontiers and the kept sums)
+    # stays within 64 KiB of grid 40's: read c 98 -> 108 KiB, d 96 -> 115 KiB.  Holding
+    # every lightwave term, as one band-term plane did, read c 129 -> 406, d 107 -> 263.
+    monkeypatch.setattr(region_module, "_FRONTIER_BLOCK", 1024)
+    region_module._band_merge(scenario, ProtocolId.D, 2)  # build the ensemble outside the trace
+    for protocol in (ProtocolId.C, ProtocolId.D):
+        peaks = {}
+        for grid in (40, 80):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                region_module._band_merge(scenario, protocol, grid)
+                peaks[grid] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[80] < peaks[40] + (64 << 10), (protocol, peaks)
